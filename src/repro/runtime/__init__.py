@@ -23,10 +23,11 @@ the FAB performance model (:mod:`repro.core`):
   trend) over windowed utilization/queue/arrival signals, driving
   voluntary board park/unpark with drain semantics and cold-cache
   rejoin.
-* :mod:`~repro.runtime.membership` — the unified pool-membership
-  ledger and event loop behind fault injection and autoscaling:
-  per-board ``active | draining | parked | failed | repairing``
-  states with explicit faults-vs-scaler arbitration rules.
+* :mod:`~repro.runtime.membership` — the serving DES event loop
+  (fixed pool, fault injection and autoscaling alike) and its
+  pool-membership ledger: per-board
+  ``active | draining | parked | failed | repairing`` states with
+  explicit faults-vs-scaler arbitration rules.
 * :mod:`~repro.runtime.fast_engine` — the vectorized second engine
   behind ``ServingSimulator.run(engine="fast")``: numpy-batched
   arrivals and bookkeeping at ~10x the DES event rate, held to the
@@ -47,8 +48,7 @@ from .arrivals import (ARRIVAL_PROCESSES, ArrivalProcess, DiurnalProcess,
 from .autoscaler import (AVAILABILITY_FLOOR, SCALE_POLICIES,
                          PredictiveScalePolicy, ReactiveScalePolicy,
                          ScalePolicy, ScaleSignals, ScheduleScalePolicy,
-                         SpareScalePolicy, make_scale_policy,
-                         run_with_autoscale)
+                         SpareScalePolicy, make_scale_policy)
 from .capture import (CountingKeySwitcher, TracingEncoder,
                       TracingEvaluator, capture)
 from .fast_engine import (STREAMING_AUTO_THRESHOLD, SetKeyCache, run_fast)
@@ -57,8 +57,7 @@ from .faults import (FAULT_PROCESSES, RETRY_POLICIES,
                      FaultSchedule, ImmediateRetry, NoRetry,
                      PoissonFaultProcess, RetryPolicy,
                      TraceFaultProcess, WeibullFaultProcess,
-                     make_fault_process, make_retry_policy,
-                     run_with_faults)
+                     make_fault_process, make_retry_policy)
 from .membership import (BOARD_STATES, PoolLedger, run_with_ledger)
 from .lowering import (KeyWorkingSet, LoweredCost, LOWERING_MAP,
                        cost_trace, key_working_set, lower_trace,
@@ -122,7 +121,6 @@ __all__ = [
     "lr_inference_trace", "lr_iteration_trace", "make_fault_process",
     "make_policy", "make_process", "make_retry_policy",
     "make_scale_policy",
-    "percentile", "run_fast", "run_with_autoscale",
-    "run_with_faults", "run_with_ledger", "stripe_trace",
+    "percentile", "run_fast", "run_with_ledger", "stripe_trace",
     "switching_key_bytes",
 ]

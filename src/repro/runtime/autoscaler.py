@@ -37,13 +37,11 @@ Policies share the ``name:key=value,...`` spec grammar of
   the measured board-seconds-per-job, aiming at ``target``
   utilization.
 
-:func:`run_with_autoscale` delegates to the unified membership loop
-(:func:`repro.runtime.membership.run_with_ledger`) with fault
-injection off; every fault construct there is gated on faults being
-present, so the autoscale-only path executes exactly the PR 9
-instruction stream (the golden bit-identity suite pins this) while
-the fixed-pool ``autoscale=None`` path in ``ServingSimulator.run``
-stays byte-for-byte the pre-autoscale code.  Reports grow
+The serving DES (:func:`repro.runtime.membership.run_with_ledger`,
+reached through ``ServingSimulator.run(autoscale=...)``) drives the
+policy; every elasticity construct there is gated on a scale policy
+being present, so ``autoscale=None`` runs none of it (the golden
+bit-identity suite pins this).  Reports grow
 ``resize_events`` / ``scale_ups`` / ``scale_downs`` and
 ``board_seconds`` — the capacity actually paid for, the denominator
 of cost-per-goodput — and recorders see ``pool_resize`` instants plus
@@ -57,9 +55,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from ..obs import Recorder
-from .policies import PriceSignal
-from .serving import Scenario, ServingReport
 from .specs import SpecError, parse_spec_kwargs, take_spec_options
 
 #: Registry of spec names accepted by :func:`make_scale_policy`.
@@ -463,38 +458,8 @@ def make_scale_policy(spec) -> ScalePolicy:
                     f"try: {', '.join(SCALE_POLICIES)}")
 
 
-# ----------------------------------------------------------------------
-# The autoscaling event loop
-# ----------------------------------------------------------------------
-
-def run_with_autoscale(sim, scenario: Scenario, seed: int = 0,
-                       policy="fifo",
-                       price: Optional[PriceSignal] = None,
-                       recorder: Optional[Recorder] = None,
-                       autoscale=None) -> ServingReport:
-    """The DES loop of :meth:`ServingSimulator.run`, with elastic
-    capacity.
-
-    Since the membership unification this is a thin delegate onto
-    :func:`repro.runtime.membership.run_with_ledger` with
-    ``faults=None``: the unified loop gates every fault construct on
-    fault injection being present, so the autoscale-only instruction
-    stream — per-control-window signal accumulation, boundary-exact
-    policy evaluation, drain-style parking, cold un-parking, degraded
-    re-planning — is exactly the PR 9 loop (the golden bit-identity
-    suite pins the reports).
-    """
-    if autoscale is None:
-        raise ValueError("run_with_autoscale needs a scale policy")
-    from .membership import run_with_ledger
-    return run_with_ledger(sim, scenario, seed=seed, policy=policy,
-                           price=price, recorder=recorder,
-                           autoscale=autoscale)
-
-
 __all__ = [
     "AVAILABILITY_FLOOR", "SCALE_POLICIES", "PredictiveScalePolicy",
     "ReactiveScalePolicy", "ScaleSignals", "ScalePolicy",
     "ScheduleScalePolicy", "SpareScalePolicy", "make_scale_policy",
-    "run_with_autoscale",
 ]

@@ -17,13 +17,15 @@ surface to the serving stack in three pieces:
   :class:`ExponentialBackoffRetry` re-enqueues after a capped,
   jittered exponential backoff.  Retried jobs keep their original
   arrival time and deadline — latency and SLO accounting never reset.
-* **The fault-aware event loop** — :func:`run_with_faults`, now a
-  delegate onto the unified membership loop
-  (:func:`repro.runtime.membership.run_with_ledger`) with elasticity
-  off.  It stays out of the fault-free loop in
-  :meth:`repro.runtime.serving.ServingSimulator.run`, so the
-  ``faults=None`` path stays byte-for-byte the pre-fault code (the
-  golden bit-identity suite pins this).
+* **Fault semantics in the event loop** — the serving DES
+  (:func:`repro.runtime.membership.run_with_ledger`, reached through
+  ``ServingSimulator.run(faults=...)``) settles each board's fault
+  timeline lazily.  Every fault construct there is gated on a fault
+  process being present, so ``faults=None`` runs none of it (the
+  golden bit-identity suite pins this).  Dispatch previews
+  (``gang_start`` / ``service_s``) stay fault-blind: admission is
+  decided against the healthy pool and faults then land where they
+  may.
 
 Fault semantics
 ---------------
@@ -62,9 +64,7 @@ import math
 import random
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..obs import Recorder
-from .policies import PriceSignal
-from .serving import Job, Scenario, ServingReport
+from .serving import Job
 from .specs import SpecError, parse_spec_kwargs, take_spec_options
 
 #: Registry of spec names accepted by :func:`make_fault_process`.
@@ -455,45 +455,9 @@ class FaultSchedule:
         self._pull(b)
 
 
-# ----------------------------------------------------------------------
-# The fault-aware event loop
-# ----------------------------------------------------------------------
-
-def run_with_faults(sim, scenario: Scenario, seed: int = 0,
-                    policy="fifo",
-                    price: Optional[PriceSignal] = None,
-                    recorder: Optional[Recorder] = None,
-                    faults=None,
-                    retry=None) -> ServingReport:
-    """The DES loop of :meth:`ServingSimulator.run`, with faults.
-
-    Since the membership unification this is a thin delegate onto
-    :func:`repro.runtime.membership.run_with_ledger` with
-    ``autoscale=None``: the unified loop gates every elasticity
-    construct on a scale policy being present, so the faults-only
-    instruction stream — lazy fault settlement when a board is
-    popped, gang members waiting on repairs like they wait on busy
-    boards, mid-batch kills feeding the retry policy, degraded
-    re-planning for gangs the shrunken pool can no longer seat, and
-    pool-death shedding — is exactly the PR 8 loop (the golden
-    bit-identity suite pins the reports).  Dispatch previews
-    (``gang_start`` / ``service_s``) stay fault-blind: admission
-    decisions are made against the healthy-pool oracle and faults
-    then land where they may — which is exactly the operational
-    reality being modeled.
-    """
-    if faults is None:
-        raise ValueError("run_with_faults needs a fault process")
-    from .membership import run_with_ledger
-    return run_with_ledger(sim, scenario, seed=seed, policy=policy,
-                           price=price, recorder=recorder,
-                           faults=faults, retry=retry)
-
-
 __all__ = [
     "FAULT_PROCESSES", "RETRY_POLICIES", "ExponentialBackoffRetry",
     "FaultProcess", "FaultSchedule", "ImmediateRetry", "NoRetry",
     "PoissonFaultProcess", "RetryPolicy", "TraceFaultProcess",
     "WeibullFaultProcess", "make_fault_process", "make_retry_policy",
-    "run_with_faults",
 ]

@@ -1,24 +1,22 @@
-"""The unified pool-membership ledger and its event loop.
+"""The serving DES event loop and its pool-membership ledger.
 
-PR 8 (``runtime/faults.py``) and PR 9 (``runtime/autoscaler.py``) each
-forked the exact DES loop of
-:meth:`repro.runtime.serving.ServingSimulator.run` — one for
-involuntary membership changes (faults), one for voluntary ones
-(elastic scaling) — and the two were mutually exclusive.  A real fleet
-experiences both at once: a board the scaler is draining can die
-mid-drain, a parked spare can fail while parked, and capacity planning
-must price expected failures.  This module merges the two forks into
-one ledger-driven loop:
+Pool membership changes involuntarily (faults,
+``runtime/faults.py``) and voluntarily (elastic scaling,
+``runtime/autoscaler.py``), and a real fleet sees both at once: a
+board the scaler is draining can die mid-drain, a parked spare can
+fail while parked, and capacity planning must price expected
+failures.  One ledger-driven loop serves every case:
 
 * :class:`PoolLedger` — the single owner of per-board membership
   state (``active | draining | parked | failed | repairing``), the
   per-state board-second integrals, and the key-cache eviction flag
   (a board's cache is evicted exactly once per departure, no matter
   how many mechanisms want it gone).
-* :func:`run_with_ledger` — the merged event loop.  With ``faults=``
-  only or ``autoscale=`` only it reduces *bit-identically* to the
-  PR 8 / PR 9 loops (the golden suites pin this); with both it applies
-  the arbitration rules below.
+* :func:`run_with_ledger` — the one DES loop behind
+  :meth:`repro.runtime.serving.ServingSimulator.run`.  With neither
+  ``faults=`` nor ``autoscale=`` it serves the fixed pool; with one it
+  runs only that mechanism's constructs (the golden suites pin all
+  three); with both it applies the arbitration rules below.
 
 Arbitration rules
 -----------------
@@ -43,7 +41,7 @@ Arbitration rules
   :class:`repro.runtime.autoscaler.SpareScalePolicy` (``spare:n=``),
   warm standbys replace boards found down or dead, so striped gangs
   keep their planned width until the spare pool is exhausted — only
-  then does PR 8's degraded re-planning kick in.  If every in-service
+  then does degraded re-planning kick in.  If every in-service
   board is dead the loop performs an emergency un-park before
   declaring the pool dead.
 
@@ -56,7 +54,7 @@ Observability: every ledger transition fires the
 ``ledger_transition`` recorder hook (a state-transition track in the
 timeline, per-state board-seconds in the metrics summary).  All of it
 is lazy-discovery semantics: a fault on a board nobody touches is
-accounted when the loop next settles that board, exactly like PR 8.
+accounted when the loop next settles that board.
 """
 
 from __future__ import annotations
@@ -212,24 +210,20 @@ def run_with_ledger(
     autoscale=None,
     ledger: Optional[PoolLedger] = None,
 ) -> ServingReport:
-    """The DES loop of :meth:`ServingSimulator.run` with unified pool
-    membership.
+    """The serving DES: the one event loop behind
+    :meth:`ServingSimulator.run` (``engine="des"``).
 
-    The superset of :func:`repro.runtime.faults.run_with_faults` and
-    :func:`repro.runtime.autoscaler.run_with_autoscale`: every
-    fault-only construct is gated on ``faults`` being set and every
-    elasticity construct on ``autoscale``, so each single mechanism
-    executes exactly its PR 8 / PR 9 instruction stream (bit-identical
-    reports, golden-pinned) while the combination applies the module's
-    arbitration rules.  Pass ``ledger=`` to inspect the membership
-    state machine after the run (tests do); by default one is created
-    per run.
+    Every fault-only construct is gated on ``faults`` being set and
+    every elasticity construct on ``autoscale``.  With neither, the
+    loop serves the fixed pool: no board ever leaves the ledger's
+    ``active`` state and the report is golden-pinned (and, under
+    ``fifo``, bit-identical to the independent
+    :func:`repro.runtime.serving_baseline.baseline_run`).  Each single
+    mechanism runs only its own constructs; the combination applies
+    the module's arbitration rules.  Pass ``ledger=`` to inspect the
+    membership state machine after the run (tests do); by default one
+    is created per run.
     """
-    if faults is None and autoscale is None:
-        raise ValueError(
-            "run_with_ledger needs faults= and/or autoscale=; the "
-            "fixed-pool loop lives in ServingSimulator.run"
-        )
     scale = make_scale_policy(autoscale) if autoscale is not None else None
     retry = make_retry_policy(retry)
     rec = recorder if recorder is not None and recorder.enabled else None
@@ -248,6 +242,9 @@ def run_with_ledger(
     if ledger is None:
         ledger = PoolLedger(sim.num_devices)
     ledger.recorder = rec
+    # Only a fault or a park evicts a key cache; a fixed pool never
+    # needs the ledger's eviction flag re-armed.
+    evicts = schedule is not None or scale is not None
     free_heap: List[Tuple[float, int]] = [(0.0, d.index) for d in devices]
     heapq.heapify(free_heap)
     completed: List[Job] = []
@@ -257,6 +254,7 @@ def run_with_ledger(
     retry_seq = 0
     #: job_id -> Job for every job currently inside the policy's
     #: queues (pool death must shed them; policies have no drain API).
+    #: Only faults can kill the pool, so only they fill it.
     in_policy: Dict[int, Job] = {}
     restripe_cache: Dict[Tuple[JobClass, int], Optional[JobClass]] = {}
     batches = 0
@@ -345,6 +343,22 @@ def run_with_ledger(
             board_seconds += span
             prov_last_t = t
 
+    def resize_provisioned(t: float, delta: int) -> None:
+        """Flush the bill to ``t``, then change ``in_service_count``
+        by ``delta`` (-1 for a park or a death, +1 for an un-park).
+
+        A board popped from the heap can be older than the idle jump
+        that already flushed past it (``t < prov_last_t``); the bill
+        for ``[t, prov_last_t)`` then used the old count and is
+        corrected here.  The scaler's windowed ``prov_area`` is left
+        as flushed, so its signals are unchanged.
+        """
+        nonlocal in_service_count, board_seconds
+        flush_provisioned(t)
+        if t < prov_last_t:
+            board_seconds += delta * (prov_last_t - t)
+        in_service_count += delta
+
     def catch_up(t: float) -> None:
         """Close every control window whose boundary has passed.
 
@@ -424,9 +438,13 @@ def run_with_ledger(
             max_batch=sim.max_batch,
         )
 
-    def enqueue(job: Job) -> None:
-        policy.enqueue(job)
-        in_policy[job.job_id] = job
+    if schedule is None:
+        enqueue = policy.enqueue
+    else:
+
+        def enqueue(job: Job) -> None:
+            policy.enqueue(job)
+            in_policy[job.job_id] = job
 
     def admit(now: float) -> None:
         nonlocal i
@@ -480,7 +498,7 @@ def run_with_ledger(
         cache eviction, recorder instants, alive/healthy/in-service
         bookkeeping — fire exactly once per interval.
         """
-        nonlocal board_faults, alive, healthy, in_service_count
+        nonlocal board_faults, alive, healthy
         device = devices[b]
         while True:
             down, up = schedule.current(b)
@@ -506,9 +524,8 @@ def run_with_ledger(
                         # Stop paying for the dead board at discovery
                         # time; its down-time since the fault feeds
                         # the availability signal.
-                        flush_provisioned(t)
+                        resize_provisioned(t, -1)
                         in_service[b] = False
-                        in_service_count -= 1
                         mark_down(down, t)
                     ledger.transition(b, FAILED, down)
                     return "dead"
@@ -532,10 +549,9 @@ def run_with_ledger(
     def park_board(b: int, t: float) -> None:
         """Take board ``b`` out of service at ``t`` (the drain just
         completed — voluntarily, or because a fault finished it)."""
-        nonlocal in_service_count, resize_events, scale_downs
-        flush_provisioned(t)
+        nonlocal resize_events, scale_downs
+        resize_provisioned(t, -1)
         in_service[b] = False
-        in_service_count -= 1
         parked.append(b)
         ledger.evict(b, devices[b].cache)
         ledger.transition(b, DRAINING, t)
@@ -555,15 +571,14 @@ def run_with_ledger(
         under repair rejoins at its repair time.  Returns whether a
         board actually rejoined.
         """
-        nonlocal in_service_count, resize_events, scale_ups
+        nonlocal resize_events, scale_ups
         while parked:
             board = parked.pop()
             status = settle_board(board, t) if schedule is not None else None
             if status == "dead":
                 continue
-            flush_provisioned(t)
+            resize_provisioned(t, +1)
             in_service[board] = True
-            in_service_count += 1
             resize_events += 1
             scale_ups += 1
             if status is not None:
@@ -729,8 +744,9 @@ def run_with_ledger(
             else:
                 heapq.heappush(free_heap, (now, device_index))
             continue
-        for job in batch:
-            in_policy.pop(job.job_id, None)
+        if schedule is not None:
+            for job in batch:
+                in_policy.pop(job.job_id, None)
         job_class = batch[0].job_class
 
         pool_limit = in_service_count if scale is not None else alive
@@ -836,19 +852,19 @@ def run_with_ledger(
             if aborted:
                 continue
 
-        # Key loads previewed without mutation so the finish time (and
-        # hence the kill window) is known before committing residency.
-        load_s = 0.0
-        for member in gang:
-            member_load_s = key_load_seconds(
-                sim.host, member.cache.peek_miss_bytes(batch[0].tenant, job_class)
-            )
-            if member_load_s > load_s:
-                load_s = member_load_s
         compute_s = len(batch) * job_class.seconds(sim.config)
-        batch_service_s = launch_overhead_s + load_s + compute_s
-        finish = start + batch_service_s
         if schedule is not None:
+            # Key loads previewed without mutation so the finish time
+            # (and hence the kill window) is known before committing
+            # residency.
+            load_s = 0.0
+            for member in gang:
+                member_load_s = key_load_seconds(
+                    sim.host, member.cache.peek_miss_bytes(batch[0].tenant, job_class)
+                )
+                if member_load_s > load_s:
+                    load_s = member_load_s
+            finish = start + (launch_overhead_s + load_s + compute_s)
             fail_t = min(schedule.next_down_s(m.index) for m in gang)
             if fail_t < finish:
                 # The gang loses a board mid-batch (or at the starting
@@ -891,14 +907,23 @@ def run_with_ledger(
                 fail_batch(batch, gang, start, fail_t, launched=True)
                 continue
 
+        # Switching keys replicate into every gang board's HBM; the
+        # per-board PCIe loads run in parallel, so the batch waits for
+        # the slowest board's misses.
+        load_s = 0.0
         member_loads = [] if rec is not None else None
         for member in gang:
             miss_bytes = member.cache.request(batch[0].tenant, job_class)
             member_load_s = key_load_seconds(sim.host, miss_bytes)
             member.key_load_s += member_load_s
-            ledger.warmed(member.index)
+            if evicts:
+                ledger.warmed(member.index)
             if member_loads is not None:
                 member_loads.append((member.index, member_load_s, miss_bytes))
+            if member_load_s > load_s:
+                load_s = member_load_s
+        batch_service_s = launch_overhead_s + load_s + compute_s
+        finish = start + batch_service_s
         for job in batch:
             job.finish_s = finish
         completed.extend(batch)
@@ -941,12 +966,11 @@ def run_with_ledger(
             )
 
     makespan = max((j.finish_s or 0.0 for j in completed), default=0.0)
+    end = ledger.close(max(makespan, now, prov_last_t))
     if scale is not None:
-        # Close the capacity integral at the end of the run:
-        # in-service boards are paid for until the last completion
-        # (or the last control event, whichever came later).
-        flush_provisioned(max(makespan, prov_last_t))
-    ledger.close(max(makespan, now, prov_last_t))
+        # Close the capacity integral where the ledger closes: the
+        # bill then equals the ledger's in-service board-seconds.
+        flush_provisioned(end)
     if rec is not None:
         rec.run_end(
             makespan_s=makespan,

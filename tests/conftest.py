@@ -25,6 +25,12 @@ settings.register_profile("default", settings.default)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: long-running end-to-end test (deselect with "
+        "-m 'not slow')")
+
+
 @pytest.fixture(scope="session")
 def small_params() -> CkksParams:
     """Tiny parameter set for fast functional tests (toy security)."""

@@ -271,10 +271,13 @@ class TestSingleModeLedger:
     """Single-mechanism runs drive the same ledger; its trail must
     reflect only that mechanism's transitions."""
 
-    def test_requires_a_membership_mechanism(self, config, mixed):
+    def test_fixed_pool_is_serving_simulator_run(self, config, mixed):
         simulator = ServingSimulator(config, num_devices=4)
-        with pytest.raises(ValueError, match="faults"):
-            run_with_ledger(simulator, mixed, seed=0)
+        ledger = PoolLedger(4)
+        report = run_with_ledger(simulator, mixed, seed=0, ledger=ledger)
+        assert report == simulator.run(mixed, seed=0)
+        assert ledger.transitions == {}
+        assert ledger.state_seconds()[ACTIVE] == pytest.approx(4 * ledger.closed_at)
 
     def test_faults_only_never_parks(self, config, mixed):
         simulator = ServingSimulator(config, num_devices=4)
@@ -478,9 +481,12 @@ class TestConservationUnderCombinedChaos:
         for state, seconds in ledger.state_seconds().items():
             assert state in BOARD_STATES
             assert seconds >= 0.0
-        # The capacity bill never exceeds the whole pool's elapsed
-        # time (parked/failed boards are unpaid).
-        assert 0.0 <= report.board_seconds <= 4 * ledger.closed_at + 1e-9
+        # The capacity bill is exactly the ledger's in-service states
+        # (parked and failed boards are unpaid).
+        states = ledger.state_seconds()
+        assert report.board_seconds == pytest.approx(
+            states[ACTIVE] + states[DRAINING] + states[REPAIRING]
+        )
 
     @settings(max_examples=10, deadline=None)
     @given(
