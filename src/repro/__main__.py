@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import sys
 
-from .experiments import ALL_EXPERIMENTS, print_result
+from .experiments import ALL_EXPERIMENTS, SWEEPS, print_result
 
 
 def main(argv=None) -> int:
@@ -34,21 +34,8 @@ def main(argv=None) -> int:
     if argv[0] == "serve":
         from .runtime.cli import run_serve
         return run_serve(argv[1:])
-    if argv[0] == "serve-sweep":
-        from .runtime.cli import run_serve_sweep
-        return run_serve_sweep(argv[1:])
-    if argv[0] == "slo-sweep":
-        from .runtime.cli import run_slo_sweep
-        return run_slo_sweep(argv[1:])
-    if argv[0] == "fault-sweep":
-        from .runtime.cli import run_fault_sweep
-        return run_fault_sweep(argv[1:])
-    if argv[0] == "autoscale-sweep":
-        from .runtime.cli import run_autoscale_sweep
-        return run_autoscale_sweep(argv[1:])
-    if argv[0] == "resilience-autoscale-sweep":
-        from .runtime.cli import run_resilience_autoscale_sweep
-        return run_resilience_autoscale_sweep(argv[1:])
+    if argv[0] in SWEEPS:
+        return SWEEPS[argv[0]].cli(argv[1:])
     if argv[0] == "stripe-scale":
         from .runtime.cli import run_stripe_scale
         return run_stripe_scale(argv[1:])
@@ -63,17 +50,8 @@ def main(argv=None) -> int:
               f"and cost it.")
         print(f"{'serve':22s} Simulate multi-tenant serving on a FAB "
               f"pool.")
-        print(f"{'serve-sweep':22s} Sweep pool x cache x tenants x load "
-              f"for the cost-optimal configuration.")
-        print(f"{'slo-sweep':22s} Sweep policy x load x mix x pool "
-              f"size; cost/SLO Pareto frontier.")
-        print(f"{'fault-sweep':22s} Sweep board MTBF x retry policy; "
-              f"goodput/wasted-service resilience frontier.")
-        print(f"{'autoscale-sweep':22s} Sweep scale policy x arrival "
-              f"pattern; cost per goodput vs the static pool.")
-        print(f"{'resilience-autoscale-sweep':26s} Sweep membership "
-              f"mechanisms under faulty diurnal load; combined "
-              f"spares + elastic vs either alone.")
+        for command, sweep in SWEEPS.items():
+            print(f"{command:22s} {sweep.blurb}")
         print(f"{'stripe-scale':22s} Stripe a trace across the FAB-2 "
               f"pool; reconcile vs the analytic model.")
         print(f"{'timeline':22s} Render a serve --metrics artifact as "

@@ -2,7 +2,8 @@
 
 Run any module as a script (``python -m repro.experiments.table7_bootstrap``)
 or call its ``run()`` for structured rows.  ``run_all()`` executes the
-complete evaluation section.
+complete evaluation section.  The serving sweeps are registered once in
+:data:`SWEEPS`, which feeds ``ALL_EXPERIMENTS`` and the ``repro`` CLI.
 """
 
 from . import (ablation_keyswitch, autoscale_sweep, extras_balance,
@@ -12,6 +13,12 @@ from . import (ablation_keyswitch, autoscale_sweep, extras_balance,
                table4_comparison, table5_basic_ops, table6_heax,
                table7_bootstrap, table8_lr)
 from .common import ExperimentResult, ExperimentRow, print_result
+
+_SWEEP_MODULES = (serve_sweep, slo_sweep, fault_sweep, autoscale_sweep,
+                  resilience_autoscale_sweep)
+
+#: ``repro`` command -> :class:`~repro.experiments.common.Sweep`.
+SWEEPS = {module.SWEEP.command: module.SWEEP for module in _SWEEP_MODULES}
 
 ALL_EXPERIMENTS = {
     "fig1": fig1_dnum,
@@ -26,11 +33,7 @@ ALL_EXPERIMENTS = {
     "fig5_ablation": ablation_keyswitch,
     "leveled_vs_bootstrap": leveled_vs_bootstrap,
     "extras_balance": extras_balance,
-    "serve_sweep": serve_sweep,
-    "slo_sweep": slo_sweep,
-    "fault_sweep": fault_sweep,
-    "autoscale_sweep": autoscale_sweep,
-    "resilience_autoscale_sweep": resilience_autoscale_sweep,
+    **{module.SWEEP.name: module for module in _SWEEP_MODULES},
     "stripe_scale": striping_scale,
 }
 
@@ -46,5 +49,5 @@ def run_all(verbose: bool = True):
     return results
 
 
-__all__ = ["ALL_EXPERIMENTS", "ExperimentResult", "ExperimentRow",
+__all__ = ["ALL_EXPERIMENTS", "SWEEPS", "ExperimentResult", "ExperimentRow",
            "print_result", "run_all"]

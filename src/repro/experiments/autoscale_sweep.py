@@ -39,16 +39,15 @@ CLI::
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+import sys
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.params import FabConfig
-from ..obs import provenance
-from ..runtime.autoscaler import make_scale_policy
-from ..runtime.serving import ServingSimulator, build_slo_scenario
-from .common import ExperimentResult, ExperimentRow, fan_out
+from ..runtime.autoscaler import SCALE_POLICIES, make_scale_policy
+from ..runtime.serving import build_slo_scenario
+from .common import Sweep, SweepReport, distinct, labelled, option, positive, spec_check
 
 #: Scale policies swept at every arrival pattern.  ``static`` is the
 #: sentinel for ``autoscale=None`` (the fixed-pool baseline).
@@ -78,8 +77,8 @@ class AutoscalePoint:
     """One arrival pattern over one pool size."""
 
     devices: int
-    arrivals: str       # short label ("diurnal", "mmpp", "flash")
-    arrival_spec: str   # full ``name:key=value`` spec
+    arrivals: str  # short label ("diurnal", "mmpp", "flash")
+    arrival_spec: str  # full ``name:key=value`` spec
 
     def label(self) -> str:
         return f"d{self.devices}/{self.arrivals}"
@@ -113,24 +112,41 @@ class ScaleOutcome:
         return self.scale.partition(":")[0]
 
 
+def slo_cell(o) -> Optional[float]:
+    """Result-table SLO attainment, rounded for display."""
+    return round(o.slo_attainment, 4) if o.slo_attainment is not None else None
+
+
+def cost_ms_cell(o) -> Optional[float]:
+    """Result-table board-milliseconds per deadline-met job."""
+    cost = o.board_s_per_good_job
+    return round(cost * 1e3, 4) if math.isfinite(cost) else None
+
+
 @dataclass
-class AutoscaleSweepReport:
+class AutoscaleSweepReport(SweepReport):
     """The full grid plus per-point savings and the diurnal verdict."""
 
-    outcomes: List[ScaleOutcome]
     policies: Tuple[str, ...]
     duration_s: float
     target_load: float
     seed: int
-    provenance: Optional[Dict[str, object]] = None
 
-    def by_point(self) -> Dict[str, Dict[str, ScaleOutcome]]:
-        """``{point label: {policy name: outcome}}`` over the grid."""
-        table: Dict[str, Dict[str, ScaleOutcome]] = {}
-        for outcome in self.outcomes:
-            table.setdefault(outcome.point.label(), {})[outcome.name] \
-                = outcome
-        return table
+    experiment_id = "autoscale_sweep"
+    title = "Autoscale sweep: scale policy x arrival pattern"
+    arm = "scale"
+    columns = {
+        "scale": "name",
+        "devices": "point.devices",
+        "arrivals": "point.arrivals",
+        "good": "good_jobs",
+        "done": "jobs_done",
+        "shed": "shed",
+        "slo": slo_cell,
+        "board_s": lambda o: round(o.board_seconds, 4),
+        "cost_ms": cost_ms_cell,
+        "resizes": "resize_events",
+    }
 
     def savings(self) -> List[Dict[str, object]]:
         """Per (point, elastic policy): board-seconds saved vs static
@@ -140,25 +156,26 @@ class AutoscaleSweepReport:
             static = per_policy.get("static")
             if static is None:
                 continue
+            base = static.board_s_per_good_job
             for name, outcome in sorted(per_policy.items()):
                 if name == "static":
                     continue
-                ratio = (outcome.board_s_per_good_job
-                         / static.board_s_per_good_job
-                         if static.board_s_per_good_job > 0
-                         and math.isfinite(static.board_s_per_good_job)
-                         else math.inf)
-                rows.append({
-                    "point": label,
-                    "scale": name,
-                    "board_s_saved":
-                        static.board_seconds - outcome.board_seconds,
-                    "cost_ratio": ratio,
-                    "slo_delta":
-                        (outcome.slo_attainment or 0.0)
-                        - (static.slo_attainment or 0.0),
-                    "resize_events": outcome.resize_events,
-                })
+                if base > 0 and math.isfinite(base):
+                    ratio = outcome.board_s_per_good_job / base
+                else:
+                    ratio = math.inf
+                slo = outcome.slo_attainment or 0.0
+                slo_delta = slo - (static.slo_attainment or 0.0)
+                rows.append(
+                    {
+                        "point": label,
+                        "scale": name,
+                        "board_s_saved": static.board_seconds - outcome.board_seconds,
+                        "cost_ratio": ratio,
+                        "slo_delta": slo_delta,
+                        "resize_events": outcome.resize_events,
+                    }
+                )
         return rows
 
     def headline(self) -> Dict[str, object]:
@@ -169,100 +186,63 @@ class AutoscaleSweepReport:
         rows = []
         for label, per_policy in sorted(self.by_point().items()):
             static = per_policy.get("static")
-            elastic = [o for name, o in per_policy.items()
-                       if name != "static"]
+            elastic = [o for name, o in per_policy.items() if name != "static"]
             if static is None or not elastic:
                 continue
             best = min(elastic, key=lambda o: o.board_s_per_good_job)
-            rows.append((label, static.board_s_per_good_job,
-                         best.name, best.board_s_per_good_job))
+            static_cost = static.board_s_per_good_job
+            rows.append((label, static_cost, best.name, best.board_s_per_good_job))
         return {"autoscale_vs_static": rows}
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "policies": list(self.policies),
-            "duration_s": self.duration_s,
-            "target_load": self.target_load,
-            "seed": self.seed,
-            "provenance": self.provenance,
-            "grid_points": len(self.by_point()),
-            "headline": self.headline(),
-            "savings": self.savings(),
-            "outcomes": [asdict(o) for o in self.outcomes],
-        }
+    def sections(self) -> Dict[str, object]:
+        return {"headline": self.headline(), "savings": self.savings()}
 
-    def save_json(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
-
-    def to_experiment_result(self) -> ExperimentResult:
-        columns = ["scale", "devices", "arrivals", "good", "done",
-                   "shed", "slo", "board_s", "cost_ms", "resizes"]
-        rows = [
-            ExperimentRow(
-                f"{o.point.label()}/{o.name}",
-                {
-                    "scale": o.name,
-                    "devices": o.point.devices,
-                    "arrivals": o.point.arrivals,
-                    "good": o.good_jobs,
-                    "done": o.jobs_done,
-                    "shed": o.shed,
-                    "slo": (round(o.slo_attainment, 4)
-                            if o.slo_attainment is not None else None),
-                    "board_s": round(o.board_seconds, 4),
-                    "cost_ms": (round(o.board_s_per_good_job * 1e3, 4)
-                                if math.isfinite(o.board_s_per_good_job)
-                                else None),
-                    "resizes": o.resize_events,
-                },
-            )
-            for o in self.outcomes
-        ]
+    def notes(self) -> str:
         wins = [row for row in self.savings() if row["cost_ratio"] < 1]
-        notes = (
+        shown = [f"{w['point']}/{w['scale']}({w['cost_ratio']:.2f}x)" for w in wins]
+        return (
             f"{len(self.by_point())} grid points x "
             f"{len(self.policies)} scale policies; "
-            f"{len(wins)} elastic outcomes beat static on cost per "
-            "goodput: "
-            + ", ".join(f"{w['point']}/{w['scale']}"
-                        f"({w['cost_ratio']:.2f}x)" for w in wins[:4])
-            + (" ..." if len(wins) > 4 else ""))
-        return ExperimentResult(
-            experiment_id="autoscale_sweep",
-            title="Autoscale sweep: scale policy x arrival pattern",
-            columns=columns,
-            rows=rows,
-            notes=notes,
+            f"{len(wins)} elastic outcomes beat static on cost per goodput: "
+            + ", ".join(shown[:4])
+            + (" ..." if len(wins) > 4 else "")
         )
 
 
-def _simulate_point(args: Tuple) -> ScaleOutcome:
-    """Worker body: one (grid point, scale policy) pair through the
-    serving simulator (top-level so it pickles)."""
-    (point, scale, scenario, config, seed, max_batch) = args
-    simulator = ServingSimulator(config, num_devices=point.devices,
-                                 max_batch=max_batch)
-    autoscale = None if scale == "static" else scale
-    report = simulator.run(scenario, seed=seed, autoscale=autoscale)
-    good_jobs = int(round(report.goodput_jps * report.makespan_s))
-    return ScaleOutcome(
-        point=point,
-        scale=scale,
-        good_jobs=good_jobs,
-        goodput_jps=report.goodput_jps,
-        jobs_done=report.jobs_done,
-        rejected=report.rejected_jobs,
-        shed=report.shed_jobs,
-        shed_degraded=report.shed_degraded,
-        slo_attainment=report.slo_attainment,
-        makespan_s=report.makespan_s,
-        board_seconds=report.board_seconds,
-        board_s_per_good_job=report.board_s_per_good_job,
-        resize_events=report.resize_events,
-        scale_ups=report.scale_ups,
-        scale_downs=report.scale_downs,
-    )
+def interactive_scenario(point: AutoscalePoint, p):
+    """Interactive-only SLO serving under the point's arrival pattern
+    (see the module docstring for why a deferrable tier would hide the
+    troughs)."""
+    return build_slo_scenario(
+        p["config"],
+        num_devices=point.devices,
+        duration_s=p["duration_s"],
+        target_load=p["target_load"],
+        interactive_fraction=1.0,
+    ).with_arrivals(point.arrival_spec)
+
+
+def _parse_scale(spec: str) -> None:
+    if spec != "static":
+        make_scale_policy(spec)
+
+
+def _arms(point: AutoscalePoint, p):
+    return [
+        ({"scale": spec}, {"autoscale": None if spec == "static" else spec})
+        for spec in p["policies"]
+    ]
+
+
+def _summary(report: AutoscaleSweepReport) -> List[str]:
+    lines = ["autoscale vs static (board-ms per deadline-met job):"]
+    for label, static, best, cost in report.headline()["autoscale_vs_static"]:
+        verdict = "beats static" if cost < static else "does NOT beat static"
+        lines.append(
+            f"  {label:>12s}: static {static * 1e3:7.3f} -> "
+            f"{best} {cost * 1e3:7.3f}  ({verdict})"
+        )
+    return lines
 
 
 def run_sweep(
@@ -278,67 +258,74 @@ def run_sweep(
 ) -> AutoscaleSweepReport:
     """Simulate the full autoscale grid; returns the sweep report.
 
-    Every scale policy at one grid point sees the identical scenario
-    (same arrival sequence for the point's seed): the policy decides
-    only how many boards stay in service, so cost-per-goodput deltas
-    are pure provisioning effects.  The scenario is interactive-only
-    SLO serving (see the module docstring for why a deferrable tier
-    would hide the troughs).  Autoscaling is DES-only, so like the
-    fault sweep there is no ``engine`` knob.
+    The scale policy decides only how many boards stay in service, so
+    cost-per-goodput deltas are pure provisioning effects.
+    Autoscaling is DES-only: no ``engine``.
     """
-    config = config or FabConfig()
-    for spec in policies:
-        if spec != "static":
-            make_scale_policy(spec)  # validate before fanning out
-    if duration_s <= 0:
-        raise ValueError("duration_s must be positive")
-    if not 0 < target_load:
-        raise ValueError("target_load must be positive")
-    names = [p.partition(":")[0] for p in policies]
-    if len(set(names)) != len(names):
-        raise ValueError(f"scale policies must be distinct: {names!r}")
-    grid = [AutoscalePoint(d, label, spec)
-            for d in devices for label, spec in arrivals]
-    if not grid:
-        raise ValueError("empty sweep grid")
-    tasks = []
-    for point in grid:
-        scenario = build_slo_scenario(
-            config, num_devices=point.devices, duration_s=duration_s,
-            target_load=target_load, interactive_fraction=1.0,
-        ).with_arrivals(point.arrival_spec)
-        for scale in policies:
-            tasks.append((point, scale, scenario, config, seed,
-                          max_batch))
-    outcomes = fan_out(_simulate_point, tasks, workers=workers)
-    return AutoscaleSweepReport(
-        outcomes=outcomes,
-        policies=tuple(policies),
-        duration_s=duration_s,
-        target_load=target_load,
-        seed=seed,
-        provenance=dict(provenance(
-            seed=seed, config=config, target_load=target_load,
-            arrivals=",".join(label for label, _ in arrivals))),
-    )
+    return SWEEP.simulate(locals())
 
 
-def run() -> ExperimentResult:
-    """Experiment-registry entry point: a reduced inline grid."""
-    report = run_sweep(
-        policies=DEFAULT_POLICIES[:2],   # static + reactive
-        arrivals=DEFAULT_ARRIVALS[:1],   # diurnal only
-        duration_s=0.6,
-        workers=1,
-    )
-    return report.to_experiment_result()
-
-
-def main() -> None:
-    from .common import print_result
-
-    print_result(run())
-
+SWEEP = Sweep(
+    report=AutoscaleSweepReport,
+    point=AutoscalePoint,
+    outcome=ScaleOutcome,
+    axes=("devices", "arrivals"),
+    scenario=interactive_scenario,
+    run_sweep=run_sweep,
+    # static + reactive under diurnal load
+    registry=dict(
+        policies=DEFAULT_POLICIES[:2], arrivals=DEFAULT_ARRIVALS[:1], duration_s=0.6
+    ),
+    arms=_arms,
+    checks=(
+        spec_check("policies", _parse_scale),
+        distinct("policies"),
+        positive("target_load"),
+    ),
+    stamp=lambda p: {
+        "target_load": p["target_load"],
+        "arrivals": ",".join(label for label, _ in p["arrivals"]),
+    },
+    blurb="Sweep scale policy x arrival pattern; cost per goodput vs the static pool.",
+    description="sweep scale policy x arrival pattern on interactive SLO "
+    "serving; report cost per goodput (board-seconds per deadline-met job) vs "
+    "the static-pool baseline",
+    options=(
+        option(
+            "--policies",
+            "scale policy specs to sweep ('static' for the fixed pool, else "
+            f"NAME[:key=value,...] with NAME in {'/'.join(SCALE_POLICIES)}; one "
+            "per policy name)",
+            metavar="SPEC",
+        ),
+        "--devices",
+        option(
+            "--arrivals",
+            "arrival process specs to sweep (NAME[:key=value,...]; default: "
+            "diurnal wave, MMPP bursts, flash crowd)",
+            convert=labelled,
+            metavar="SPEC",
+            default=[spec for _, spec in DEFAULT_ARRIVALS],
+        ),
+        option(
+            "--duration",
+            "arrival horizon per grid point (seconds; long enough for a full "
+            "diurnal trough)",
+        ),
+        option(
+            "--load",
+            "mean offered load fraction of pool capacity (the diurnal wave swings "
+            f"around this; default {DEFAULT_TARGET_LOAD:g})",
+        ),
+        "--seed",
+        "--max-batch",
+        "--workers",
+        "--json",
+    ),
+    summary=_summary,
+)
+run = SWEEP.experiment
+main = SWEEP.cli  # repro autoscale-sweep
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

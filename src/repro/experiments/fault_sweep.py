@@ -32,17 +32,27 @@ CLI::
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+import sys
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.params import FabConfig
-from ..obs import provenance
-from ..runtime.faults import make_fault_process, make_retry_policy
-from ..runtime.serving import (ServingSimulator, build_job_classes,
-                               build_slo_scenario,
-                               default_interactive_slo_ms)
-from .common import ExperimentResult, ExperimentRow, fan_out
+from ..runtime.faults import make_retry_policy
+from ..runtime.serving import (
+    build_job_classes,
+    build_slo_scenario,
+    default_interactive_slo_ms,
+)
+from .common import (
+    Sweep,
+    SweepReport,
+    check_stripe,
+    distinct,
+    option,
+    pareto_frontier,
+    positive,
+    spec_check,
+)
 
 #: Default grid: 2 pools x 3 fault rates x 3 retry policies = 18 runs.
 DEFAULT_RETRIES = ("none", "immediate:max=3", "backoff")
@@ -104,25 +114,33 @@ class RetryOutcome:
 
 
 @dataclass
-class FaultSweepReport:
+class FaultSweepReport(SweepReport):
     """The full grid plus per-point comparisons and the frontier."""
 
-    outcomes: List[RetryOutcome]
     retries: Tuple[str, ...]
     mttr_s: float
     duration_s: float
     seed: int
     arrivals: Optional[str]
     slo_scale: float = DEFAULT_SLO_SCALE
-    provenance: Optional[Dict[str, object]] = None
 
-    def by_point(self) -> Dict[str, Dict[str, RetryOutcome]]:
-        """``{point label: {retry name: outcome}}`` over the grid."""
-        table: Dict[str, Dict[str, RetryOutcome]] = {}
-        for outcome in self.outcomes:
-            name = outcome.retry.partition(":")[0]
-            table.setdefault(outcome.point.label(), {})[name] = outcome
-        return table
+    experiment_id = "fault_sweep"
+    title = "Fault sweep: MTBF x retry policy x pool size"
+    arm = "retry"
+    columns = {
+        "retry": lambda o: o.retry.partition(":")[0],
+        "devices": "point.devices",
+        "mtbf_s": "point.mtbf_s",
+        "good": "good_jobs",
+        "done": "jobs_done",
+        "faults": "board_faults",
+        "failures": "failures",
+        "retries": "retries",
+        "shed": "shed",
+        "shed_deg": "shed_degraded",
+        "degraded": "degraded_jobs",
+        "wasted_s": "wasted_service_s",
+    }
 
     def resilience_frontier(self) -> List[RetryOutcome]:
         """Non-dominated outcomes: maximize goodput, minimize wasted
@@ -130,29 +148,12 @@ class FaultSweepReport:
 
         The fault-tolerance trade in one curve: retries buy goodput by
         re-running killed work, and the price is board-seconds burned
-        on batches that never finished.  An outcome is dominated when
-        another wastes no more *and* delivers no less goodput, with at
-        least one strict; the frontier is returned thriftiest-first.
+        on batches that never finished.  The frontier is returned
+        thriftiest-first.
         """
-        frontier = []
-        for candidate in self.outcomes:
-            dominated = False
-            for other in self.outcomes:
-                if other is candidate:
-                    continue
-                no_worse = (
-                    other.wasted_service_s <= candidate.wasted_service_s
-                    and other.goodput_jps >= candidate.goodput_jps)
-                strictly = (
-                    other.wasted_service_s < candidate.wasted_service_s
-                    or other.goodput_jps > candidate.goodput_jps)
-                if no_worse and strictly:
-                    dominated = True
-                    break
-            if not dominated:
-                frontier.append(candidate)
-        return sorted(frontier,
-                      key=lambda o: (o.wasted_service_s, -o.goodput_jps))
+        return pareto_frontier(
+            self.outcomes, minimize="wasted_service_s", maximize="goodput_jps"
+        )
 
     def headline(self) -> Dict[str, object]:
         """``backoff_vs_none``: per-point (label, board faults, none
@@ -164,110 +165,74 @@ class FaultSweepReport:
             none = per_retry.get("none")
             backoff = per_retry.get("backoff")
             if none and backoff:
-                rows.append((label, none.board_faults,
-                             none.good_jobs, backoff.good_jobs))
+                row = (label, none.board_faults, none.good_jobs, backoff.good_jobs)
+                rows.append(row)
         return {"backoff_vs_none": rows}
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "retries": list(self.retries),
-            "mttr_s": self.mttr_s,
-            "duration_s": self.duration_s,
-            "seed": self.seed,
-            "arrivals": self.arrivals,
-            "slo_scale": self.slo_scale,
-            "provenance": self.provenance,
-            "grid_points": len(self.by_point()),
-            "headline": self.headline(),
-            "resilience_frontier": [
-                {
-                    "point": o.point.label(),
-                    "retry": o.retry,
-                    "goodput_jps": o.goodput_jps,
-                    "good_jobs": o.good_jobs,
-                    "wasted_service_s": o.wasted_service_s,
-                    "failures": o.failures,
-                }
-                for o in self.resilience_frontier()
-            ],
-            "outcomes": [asdict(o) for o in self.outcomes],
-        }
-
-    def save_json(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
-
-    def to_experiment_result(self) -> ExperimentResult:
-        columns = ["retry", "devices", "mtbf_s", "good", "done",
-                   "faults", "failures", "retries", "shed", "shed_deg",
-                   "degraded", "wasted_s"]
-        rows = [
-            ExperimentRow(
-                f"{o.point.label()}/{o.retry.partition(':')[0]}",
-                {
-                    "retry": o.retry.partition(":")[0],
-                    "devices": o.point.devices,
-                    "mtbf_s": o.point.mtbf_s,
-                    "good": o.good_jobs,
-                    "done": o.jobs_done,
-                    "faults": o.board_faults,
-                    "failures": o.failures,
-                    "retries": o.retries,
-                    "shed": o.shed,
-                    "shed_deg": o.shed_degraded,
-                    "degraded": o.degraded_jobs,
-                    "wasted_s": o.wasted_service_s,
-                },
-            )
-            for o in self.outcomes
+    def sections(self) -> Dict[str, object]:
+        frontier = [
+            {
+                "point": o.point.label(),
+                "retry": o.retry,
+                "goodput_jps": o.goodput_jps,
+                "good_jobs": o.good_jobs,
+                "wasted_service_s": o.wasted_service_s,
+                "failures": o.failures,
+            }
+            for o in self.resilience_frontier()
         ]
+        return {"headline": self.headline(), "resilience_frontier": frontier}
+
+    def notes(self) -> str:
         frontier = self.resilience_frontier()
-        notes = (
+        return (
             f"{len(self.by_point())} grid points x "
             f"{len(self.retries)} retry policies; resilience frontier: "
-            + ", ".join(
-                f"{o.point.label()}/{o.retry.partition(':')[0]}"
-                for o in frontier[:4])
-            + (" ..." if len(frontier) > 4 else ""))
-        return ExperimentResult(
-            experiment_id="fault_sweep",
-            title="Fault sweep: MTBF x retry policy x pool size",
-            columns=columns,
-            rows=rows,
-            notes=notes,
+            + ", ".join(f"{o.point.label()}/{self.arm_name(o)}" for o in frontier[:4])
+            + (" ..." if len(frontier) > 4 else "")
         )
 
 
-def _simulate_point(args: Tuple) -> RetryOutcome:
-    """Worker body: one (grid point, retry policy) pair through the
-    fault-injecting simulator (top-level so it pickles)."""
-    (point, retry, scenario, config, seed, max_batch, mttr_s) = args
-    simulator = ServingSimulator(config, num_devices=point.devices,
-                                 max_batch=max_batch)
-    report = simulator.run(
-        scenario, seed=seed,
-        faults=f"poisson:mtbf={point.mtbf_s:g},mttr={mttr_s:g}",
-        retry=retry)
-    good_jobs = int(round(report.goodput_jps * report.makespan_s))
-    return RetryOutcome(
-        point=point,
-        retry=retry,
-        good_jobs=good_jobs,
-        goodput_jps=report.goodput_jps,
-        throughput_jps=report.throughput_jps,
-        jobs_done=report.jobs_done,
-        rejected=report.rejected_jobs,
-        shed=report.shed_jobs,
-        shed_degraded=report.shed_degraded,
-        degraded_jobs=report.degraded_jobs,
-        board_faults=report.board_faults,
-        failures=report.failures,
-        retries=report.retries,
-        wasted_service_s=report.wasted_service_s,
-        slo_attainment=report.slo_attainment,
-        cost_price_units=report.cost_price_units,
-        makespan_s=report.makespan_s,
+def _prepare(p) -> None:
+    """The interactive deadline, loosened by ``slo_scale``."""
+    classes = build_job_classes(p["config"], training_stripe=p["training_stripe"])
+    default_ms = default_interactive_slo_ms(classes["lr_inference"], p["config"])
+    p["slo_ms"] = p["slo_scale"] * default_ms
+
+
+def _scenario(point: FaultPoint, p):
+    scenario = build_slo_scenario(
+        p["config"],
+        num_devices=point.devices,
+        duration_s=p["duration_s"],
+        target_load=p["target_load"],
+        interactive_slo_ms=p["slo_ms"],
+        training_stripe=p["training_stripe"],
     )
+    return scenario.with_arrivals(p["arrivals"]) if p["arrivals"] else scenario
+
+
+def _arms(point: FaultPoint, p):
+    faults = f"poisson:mtbf={point.mtbf_s:g},mttr={p['mttr_s']:g}"
+    return [
+        ({"retry": spec}, {"faults": faults, "retry": spec}) for spec in p["retries"]
+    ]
+
+
+def _summary(report: FaultSweepReport) -> List[str]:
+    lines = ["backoff vs none (goodput jobs at equal fault schedule):"]
+    for label, faults, none_good, backoff_good in report.headline()["backoff_vs_none"]:
+        lines.append(
+            f"  {label:>14s} {faults:4d} faults: "
+            f"none {none_good:5d} -> backoff {backoff_good:5d}"
+        )
+    lines.append("resilience frontier (wasted board-seconds, goodput/s):")
+    for o in report.resilience_frontier():
+        lines.append(
+            f"  {o.point.label():>14s} {report.arm_name(o):>10s} "
+            f"{o.wasted_service_s:8.3f}s {o.goodput_jps:8.1f}/s"
+        )
+    return lines
 
 
 def run_sweep(
@@ -287,79 +252,79 @@ def run_sweep(
 ) -> FaultSweepReport:
     """Simulate the full fault grid; returns the sweep report.
 
-    Every retry policy at one grid point sees the same scenario (same
-    arrival sequence for the point's seed) and the same per-board
-    fault schedule — fault draws are keyed on ``(seed, board)`` only,
-    so the retry policy cannot perturb *when* boards fail, just what
-    happens to the jobs afterwards.  ``arrivals=None`` keeps each
-    stream's own (Poisson) process; the default reshapes every stream
-    into MMPP bursts, the regime where fault/burst overlap hurts
-    most.  ``slo_scale`` loosens the interactive deadline to a
-    multiple of the fault-free default (see :data:`DEFAULT_SLO_SCALE`
-    for why a resilience study provisions deadline headroom).  Fault
-    injection is DES-only, so unlike the other sweeps there is no
-    ``engine`` knob.
+    Fault draws are keyed on ``(seed, board)`` only, so the retry
+    policy cannot perturb *when* boards fail, just what happens to the
+    jobs afterwards.  ``arrivals=None`` keeps each stream's own
+    (Poisson) process.  Fault injection is DES-only: no ``engine``.
     """
-    config = config or FabConfig()
-    for retry in retries:
-        make_retry_policy(retry)  # validate specs before fanning out
-    for mtbf in mtbfs:
-        make_fault_process(f"poisson:mtbf={mtbf:g},mttr={mttr_s:g}")
-    if duration_s <= 0:
-        raise ValueError("duration_s must be positive")
-    if slo_scale <= 0:
-        raise ValueError("slo_scale must be positive")
-    grid = [FaultPoint(d, mtbf) for d in devices for mtbf in mtbfs]
-    if not grid:
-        raise ValueError("empty sweep grid")
-    names = [r.partition(":")[0] for r in retries]
-    if len(set(names)) != len(names):
-        raise ValueError(f"retry policies must be distinct: {names!r}")
-    classes = build_job_classes(config, training_stripe=training_stripe)
-    slo_ms = slo_scale * default_interactive_slo_ms(
-        classes["lr_inference"], config)
-    tasks = []
-    for point in grid:
-        scenario = build_slo_scenario(
-            config, num_devices=point.devices, duration_s=duration_s,
-            target_load=target_load, interactive_slo_ms=slo_ms,
-            training_stripe=training_stripe)
-        if arrivals:
-            scenario = scenario.with_arrivals(arrivals)
-        for retry in retries:
-            tasks.append((point, retry, scenario, config, seed,
-                          max_batch, mttr_s))
-    outcomes = fan_out(_simulate_point, tasks, workers=workers)
-    return FaultSweepReport(
-        outcomes=outcomes,
-        retries=tuple(retries),
-        mttr_s=mttr_s,
-        duration_s=duration_s,
-        seed=seed,
-        arrivals=arrivals,
-        slo_scale=slo_scale,
-        provenance=dict(provenance(seed=seed, config=config,
-                                   mttr_s=mttr_s, slo_scale=slo_scale,
-                                   arrivals=arrivals or "default")),
-    )
+    return SWEEP.simulate(locals())
 
 
-def run() -> ExperimentResult:
-    """Experiment-registry entry point: a reduced inline grid."""
-    report = run_sweep(
-        devices=(4,),
-        mtbfs=(0.05, 0.5),
-        duration_s=0.4,
-        workers=1,
-    )
-    return report.to_experiment_result()
-
-
-def main() -> None:
-    from .common import print_result
-
-    print_result(run())
-
+SWEEP = Sweep(
+    report=FaultSweepReport,
+    point=FaultPoint,
+    outcome=RetryOutcome,
+    axes=("devices", "mtbfs"),
+    scenario=_scenario,
+    run_sweep=run_sweep,
+    registry=dict(devices=(4,), mtbfs=(0.05, 0.5), duration_s=0.4),
+    arms=_arms,
+    prepare=_prepare,
+    checks=(
+        spec_check("retries", make_retry_policy),
+        distinct("retries"),
+        positive("mtbfs"),
+        positive("mttr_s"),
+        positive("target_load"),
+        check_stripe,
+        positive("slo_scale"),
+    ),
+    stamp=lambda p: {
+        "mttr_s": p["mttr_s"],
+        "slo_scale": p["slo_scale"],
+        "arrivals": p["arrivals"] or "default",
+    },
+    blurb="Sweep board MTBF x retry policy; goodput/wasted-service resilience "
+    "frontier.",
+    description="sweep board MTBF x retry policy x pool size under fault "
+    "injection; report per-point backoff-vs-none goodput and the resilience "
+    "(goodput vs wasted-service) frontier",
+    options=(
+        option(
+            "--retries",
+            "retry policy specs to sweep (NAME[:key=value,...]; one per policy name)",
+            metavar="SPEC",
+        ),
+        "--devices",
+        option("--mtbfs", "per-board mean time between failures (seconds) to sweep"),
+        option("--mttr", f"mean time to repair in seconds (default {DEFAULT_MTTR:g})"),
+        "--duration",
+        option("--load", "offered load fraction of pool capacity"),
+        "--seed",
+        "--max-batch",
+        "--stripe",
+        option(
+            "--slo-scale",
+            "interactive deadline as a multiple of the fault-free default - "
+            "resilience headroom for retries to land in (default "
+            f"{DEFAULT_SLO_SCALE:g}; at 1 retried jobs miss their deadlines and "
+            "no-retry wins on goodput)",
+        ),
+        option(
+            "--arrivals",
+            "arrival process for every stream (NAME[:key=value,...], '' to keep "
+            "each stream's own Poisson process; default: "
+            f"{DEFAULT_ARRIVALS})",
+            convert=lambda spec: spec or None,
+            metavar="SPEC",
+        ),
+        "--workers",
+        "--json",
+    ),
+    summary=_summary,
+)
+run = SWEEP.experiment
+main = SWEEP.cli  # repro fault-sweep
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

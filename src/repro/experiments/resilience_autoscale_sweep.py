@@ -34,17 +34,21 @@ CLI::
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+import sys
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.params import FabConfig
-from ..obs import provenance
 from ..runtime.autoscaler import make_scale_policy
 from ..runtime.faults import make_fault_process, make_retry_policy
-from ..runtime.serving import ServingSimulator, build_slo_scenario
-from .common import ExperimentResult, ExperimentRow, fan_out
+from .autoscale_sweep import (
+    AutoscalePoint,
+    cost_ms_cell,
+    interactive_scenario,
+    slo_cell,
+)
+from .common import Sweep, SweepReport, distinct, labelled, option, positive, spec_check
 
 #: Mechanisms swept at every grid point: ``(label, autoscale spec)``
 #: with ``None`` marking the fixed pool.  All four run under the same
@@ -75,23 +79,11 @@ DEFAULT_RETRY = "backoff:base=0.005,jitter=0.25"
 DEFAULT_TARGET_LOAD = 0.45
 
 
-@dataclass(frozen=True)
-class ResiliencePoint:
-    """One faulty arrival pattern over one pool size."""
-
-    devices: int
-    arrivals: str  # short label ("diurnal")
-    arrival_spec: str  # full ``name:key=value`` spec
-
-    def label(self) -> str:
-        return f"d{self.devices}/{self.arrivals}"
-
-
 @dataclass
 class ResilienceOutcome:
     """One mechanism's result on one grid point's faulty stream."""
 
-    point: ResiliencePoint
+    point: AutoscalePoint
     mechanism: str  # "static" | "elastic" | "spares" | "combined"
     scale: Optional[str]
     good_jobs: int
@@ -114,24 +106,32 @@ class ResilienceOutcome:
 
 
 @dataclass
-class ResilienceSweepReport:
+class ResilienceSweepReport(SweepReport):
     """The full grid plus the combined-vs-single verdict."""
 
-    outcomes: List[ResilienceOutcome]
     mechanisms: Tuple[Tuple[str, Optional[str]], ...]
     faults: str
     retry: str
     duration_s: float
     target_load: float
     seed: int
-    provenance: Optional[Dict[str, object]] = None
 
-    def by_point(self) -> Dict[str, Dict[str, ResilienceOutcome]]:
-        """``{point label: {mechanism: outcome}}`` over the grid."""
-        table: Dict[str, Dict[str, ResilienceOutcome]] = {}
-        for outcome in self.outcomes:
-            table.setdefault(outcome.point.label(), {})[outcome.mechanism] = outcome
-        return table
+    experiment_id = "resilience_autoscale_sweep"
+    title = "Resilience x autoscale: spares + elasticity vs either alone"
+    arm = "mechanism"
+    columns = {
+        "mech": "mechanism",
+        "devices": "point.devices",
+        "arrivals": "point.arrivals",
+        "good": "good_jobs",
+        "done": "jobs_done",
+        "faults": "board_faults",
+        "shed": lambda o: o.shed + o.shed_degraded,
+        "slo": slo_cell,
+        "board_s": lambda o: round(o.board_seconds, 4),
+        "cost_ms": cost_ms_cell,
+        "resizes": "resize_events",
+    }
 
     def headline(self) -> Dict[str, object]:
         """``combined_vs_single``: per-point cost-per-goodput of every
@@ -154,113 +154,34 @@ class ResilienceSweepReport:
             rows.append({"point": label, "costs": costs, "combined_wins": wins})
         return {"combined_vs_single": rows}
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "mechanisms": [[name, spec] for name, spec in self.mechanisms],
-            "faults": self.faults,
-            "retry": self.retry,
-            "duration_s": self.duration_s,
-            "target_load": self.target_load,
-            "seed": self.seed,
-            "provenance": self.provenance,
-            "grid_points": len(self.by_point()),
-            "headline": self.headline(),
-            "outcomes": [asdict(o) for o in self.outcomes],
-        }
-
-    def save_json(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
-
-    def to_experiment_result(self) -> ExperimentResult:
-        columns = [
-            "mech",
-            "devices",
-            "arrivals",
-            "good",
-            "done",
-            "faults",
-            "shed",
-            "slo",
-            "board_s",
-            "cost_ms",
-            "resizes",
-        ]
-        rows = [
-            ExperimentRow(
-                f"{o.point.label()}/{o.mechanism}",
-                {
-                    "mech": o.mechanism,
-                    "devices": o.point.devices,
-                    "arrivals": o.point.arrivals,
-                    "good": o.good_jobs,
-                    "done": o.jobs_done,
-                    "faults": o.board_faults,
-                    "shed": o.shed + o.shed_degraded,
-                    "slo": (
-                        round(o.slo_attainment, 4)
-                        if o.slo_attainment is not None
-                        else None
-                    ),
-                    "board_s": round(o.board_seconds, 4),
-                    "cost_ms": (
-                        round(o.board_s_per_good_job * 1e3, 4)
-                        if math.isfinite(o.board_s_per_good_job)
-                        else None
-                    ),
-                    "resizes": o.resize_events,
-                },
-            )
-            for o in self.outcomes
-        ]
+    def notes(self) -> str:
         verdicts = self.headline()["combined_vs_single"]
         wins = sum(1 for row in verdicts if row["combined_wins"])
-        notes = (
+        return (
             f"{len(self.by_point())} grid points x "
             f"{len(self.mechanisms)} mechanisms under {self.faults}; "
-            f"combined beats both single mechanisms on cost per "
+            "combined beats both single mechanisms on cost per "
             f"goodput at {wins}/{len(verdicts)} points"
         )
-        return ExperimentResult(
-            experiment_id="resilience_autoscale_sweep",
-            title="Resilience x autoscale: spares + elasticity vs either alone",
-            columns=columns,
-            rows=rows,
-            notes=notes,
+
+
+def _arms(point: AutoscalePoint, p):
+    shared = {"faults": p["faults"], "retry": p["retry"]}
+    return [
+        ({"mechanism": name, "scale": spec}, {**shared, "autoscale": spec})
+        for name, spec in p["mechanisms"]
+    ]
+
+
+def _summary(report: ResilienceSweepReport) -> List[str]:
+    lines = ["combined vs single mechanisms (board-ms per deadline-met job):"]
+    for row in report.headline()["combined_vs_single"]:
+        costs = ", ".join(
+            f"{name} {cost * 1e3:7.3f}" for name, cost in sorted(row["costs"].items())
         )
-
-
-def _simulate_point(args: Tuple) -> ResilienceOutcome:
-    """Worker body: one (grid point, mechanism) pair through the
-    unified membership loop (top-level so it pickles)."""
-    point, mechanism, scale, scenario, config, faults, retry, seed, max_batch = args
-    simulator = ServingSimulator(config, num_devices=point.devices, max_batch=max_batch)
-    report = simulator.run(
-        scenario, seed=seed, faults=faults, retry=retry, autoscale=scale
-    )
-    good_jobs = int(round(report.goodput_jps * report.makespan_s))
-    return ResilienceOutcome(
-        point=point,
-        mechanism=mechanism,
-        scale=scale,
-        good_jobs=good_jobs,
-        goodput_jps=report.goodput_jps,
-        jobs_done=report.jobs_done,
-        rejected=report.rejected_jobs,
-        shed=report.shed_jobs,
-        shed_degraded=report.shed_degraded,
-        slo_attainment=report.slo_attainment,
-        makespan_s=report.makespan_s,
-        board_faults=report.board_faults,
-        failures=report.failures,
-        retries=report.retries,
-        wasted_service_s=report.wasted_service_s,
-        board_seconds=report.board_seconds,
-        board_s_per_good_job=report.board_s_per_good_job,
-        resize_events=report.resize_events,
-        scale_ups=report.scale_ups,
-        scale_downs=report.scale_downs,
-    )
+        verdict = "combined wins" if row["combined_wins"] else "combined does NOT win"
+        lines.append(f"  {row['point']:>12s}: {costs}  ({verdict})")
+    return lines
 
 
 def run_sweep(
@@ -278,75 +199,79 @@ def run_sweep(
 ) -> ResilienceSweepReport:
     """Simulate the full resilience x autoscale grid.
 
-    Every mechanism at one grid point sees the identical scenario and
-    the identical fault trace (the fault schedule is seeded per board,
-    independent of pool membership), so cost-per-goodput deltas are
-    pure membership-policy effects.  Like the fault and autoscale
-    sweeps this is DES-only — there is no ``engine`` knob.
+    The fault schedule is seeded per board, independent of pool
+    membership, so cost-per-goodput deltas are pure membership-policy
+    effects.  DES-only, like the fault and autoscale sweeps.
     """
-    config = config or FabConfig()
-    make_fault_process(faults)  # validate before fanning out
-    make_retry_policy(retry)
-    for _, spec in mechanisms:
-        if spec is not None:
-            make_scale_policy(spec)
-    if duration_s <= 0:
-        raise ValueError("duration_s must be positive")
-    if not 0 < target_load:
-        raise ValueError("target_load must be positive")
-    names = [name for name, _ in mechanisms]
-    if len(set(names)) != len(names):
-        raise ValueError(f"mechanisms must be distinct: {names!r}")
-    grid = [
-        ResiliencePoint(d, label, spec) for d in devices for label, spec in arrivals
-    ]
-    if not grid:
-        raise ValueError("empty sweep grid")
-    tasks = []
-    for point in grid:
-        scenario = build_slo_scenario(
-            config,
-            num_devices=point.devices,
-            duration_s=duration_s,
-            target_load=target_load,
-            interactive_fraction=1.0,
-        ).with_arrivals(point.arrival_spec)
-        shared = (scenario, config, faults, retry, seed, max_batch)
-        for mechanism, scale in mechanisms:
-            tasks.append((point, mechanism, scale) + shared)
-    outcomes = fan_out(_simulate_point, tasks, workers=workers)
-    return ResilienceSweepReport(
-        outcomes=outcomes,
-        mechanisms=tuple(mechanisms),
-        faults=faults,
-        retry=retry,
-        duration_s=duration_s,
-        target_load=target_load,
-        seed=seed,
-        provenance=dict(
-            provenance(
-                seed=seed,
-                config=config,
-                target_load=target_load,
-                faults=faults,
-                retry=retry,
-                arrivals=",".join(label for label, _ in arrivals),
-            )
+    return SWEEP.simulate(locals())
+
+
+SWEEP = Sweep(
+    report=ResilienceSweepReport,
+    point=AutoscalePoint,
+    outcome=ResilienceOutcome,
+    axes=("devices", "arrivals"),
+    scenario=interactive_scenario,
+    run_sweep=run_sweep,
+    registry=dict(duration_s=0.6),
+    arms=_arms,
+    checks=(
+        spec_check("faults", make_fault_process),
+        spec_check("retry", make_retry_policy),
+        spec_check("mechanisms", make_scale_policy),
+        distinct("mechanisms"),
+        positive("target_load"),
+    ),
+    stamp=lambda p: {
+        "target_load": p["target_load"],
+        "faults": p["faults"],
+        "retry": p["retry"],
+        "arrivals": ",".join(label for label, _ in p["arrivals"]),
+    },
+    blurb="Sweep membership mechanisms under faulty diurnal load; combined "
+    "spares + elastic vs either alone.",
+    description="sweep pool-membership mechanisms (static / elastic / spares / "
+    "combined) under faulty diurnal SLO serving; report cost per goodput "
+    "through the unified membership ledger",
+    options=(
+        "--devices",
+        option(
+            "--arrivals",
+            "arrival process specs to sweep (NAME[:key=value,...]; default: "
+            "diurnal wave)",
+            convert=labelled,
+            metavar="SPEC",
+            default=[spec for _, spec in DEFAULT_ARRIVALS],
         ),
-    )
-
-
-def run() -> ExperimentResult:
-    """Experiment-registry entry point: a reduced inline grid."""
-    report = run_sweep(duration_s=0.6, workers=1)
-    return report.to_experiment_result()
-
-
-def main() -> None:
-    from .common import print_result
-
-    print_result(run())
-
+        option(
+            "--faults",
+            f"fault process shared by every mechanism (default {DEFAULT_FAULTS})",
+            metavar="SPEC",
+        ),
+        option(
+            "--retry",
+            f"retry policy shared by every mechanism (default {DEFAULT_RETRY})",
+            metavar="SPEC",
+        ),
+        option(
+            "--duration",
+            "arrival horizon per grid point (seconds; long enough for several "
+            "faults and a full diurnal trough)",
+        ),
+        option(
+            "--load",
+            "mean offered load fraction of pool capacity (default "
+            f"{DEFAULT_TARGET_LOAD:g})",
+        ),
+        "--seed",
+        "--max-batch",
+        "--workers",
+        "--json",
+    ),
+    summary=_summary,
+)
+run = SWEEP.experiment
+main = SWEEP.cli  # repro resilience-autoscale-sweep
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -33,16 +33,15 @@ CLI::
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+import math
+import sys
+from dataclasses import asdict, astuple, dataclass
+from typing import Dict, List, Optional, Sequence
 
 from ..core.hbm import HbmModel
 from ..core.params import FabConfig
-from ..obs import MetricsRecorder, provenance
-from ..runtime.serving import (JobClass, Scenario, ServingSimulator,
-                               Stream, build_job_classes)
-from .common import ExperimentResult, ExperimentRow, fan_out
+from ..runtime.serving import JobClass, Scenario, Stream, build_job_classes
+from .common import Sweep, SweepReport, at_least_one, check, option, positive
 
 #: Default grid: 3 pools x 2 caches x 2 tenant mixes x 4 loads = 48.
 DEFAULT_DEVICES = (4, 8, 16)
@@ -56,13 +55,12 @@ class SweepPoint:
     """One serving configuration under one offered load."""
 
     devices: int
-    cache_fraction: float     # of HBM capacity, for switching keys
-    tenants: int              # per stream
-    load: float               # offered load / aggregate pool capacity
+    cache_fraction: float  # of HBM capacity, for switching keys
+    tenants: int  # per stream
+    load: float  # offered load / aggregate pool capacity
 
     def label(self) -> str:
-        return (f"d{self.devices}/c{self.cache_fraction:g}/"
-                f"t{self.tenants}/l{self.load:g}")
+        return "d{}/c{:g}/t{}/l{:g}".format(*astuple(self))
 
 
 @dataclass
@@ -84,16 +82,27 @@ class SweepOutcome:
 
 
 @dataclass
-class SweepReport:
+class ServeSweepReport(SweepReport):
     """The full grid plus the cost-optimal configuration."""
 
-    outcomes: List[SweepOutcome]
     slo_p99_ms: float
     duration_s: float
     seed: int
-    #: Seed / config-digest / git-describe stamp, embedded in the JSON
-    #: artifact so every sweep file is traceable to its inputs.
-    provenance: Optional[Dict[str, object]] = None
+
+    experiment_id = "serve_sweep"
+    title = "autoscaling sweep: pool x cache x tenants x load"
+    columns = {
+        "devices": "point.devices",
+        "cache_frac": "point.cache_fraction",
+        "tenants": "point.tenants",
+        "load": "point.load",
+        "jobs": "jobs",
+        "p99_ms": "worst_p99_ms",
+        "util": "device_utilization",
+        "hit_rate": "key_hit_rate",
+        "cost_dev_ms": "cost_device_ms_per_job",
+        "ok": lambda o: "yes" if o.feasible else "no",
+    }
 
     @property
     def best(self) -> Optional[SweepOutcome]:
@@ -102,116 +111,27 @@ class SweepReport:
         feasible = [o for o in self.outcomes if o.feasible]
         if not feasible:
             return None
-        return min(feasible, key=lambda o: (
-            o.cost_device_ms_per_job, o.point.devices,
-            o.point.cache_fraction, o.point.tenants, o.point.load))
+        return min(feasible, key=lambda o: (o.cost_device_ms_per_job, astuple(o.point)))
 
-    def to_dict(self) -> Dict[str, object]:
+    def sections(self) -> Dict[str, object]:
         best = self.best
         return {
-            "slo_p99_ms": self.slo_p99_ms,
-            "duration_s": self.duration_s,
-            "seed": self.seed,
-            "provenance": self.provenance,
-            "grid_points": len(self.outcomes),
             "feasible_points": sum(o.feasible for o in self.outcomes),
             "best": asdict(best) if best else None,
-            "outcomes": [asdict(o) for o in self.outcomes],
         }
 
-    def save_json(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
-
-    def to_experiment_result(self) -> ExperimentResult:
-        columns = ["devices", "cache_frac", "tenants", "load", "jobs",
-                   "p99_ms", "util", "hit_rate", "cost_dev_ms", "ok"]
-        rows = [ExperimentRow(o.point.label(), {
-            "devices": o.point.devices,
-            "cache_frac": o.point.cache_fraction,
-            "tenants": o.point.tenants,
-            "load": o.point.load,
-            "jobs": o.jobs,
-            "p99_ms": o.worst_p99_ms,
-            "util": o.device_utilization,
-            "hit_rate": o.key_hit_rate,
-            "cost_dev_ms": o.cost_device_ms_per_job,
-            "ok": "yes" if o.feasible else "no",
-        }) for o in self.outcomes]
+    def notes(self) -> str:
         best = self.best
-        notes = (f"cost-optimal: {best.point.label()} at "
-                 f"{best.cost_device_ms_per_job:.2f} device-ms/job, "
-                 f"p99 {best.worst_p99_ms:.1f} ms "
-                 f"(SLO {self.slo_p99_ms:.0f} ms)"
-                 if best else
-                 f"no feasible point under the {self.slo_p99_ms:.0f} ms "
-                 f"p99 SLO")
-        return ExperimentResult(
-            experiment_id="serve_sweep",
-            title="autoscaling sweep: pool x cache x tenants x load",
-            columns=columns, rows=rows, notes=notes)
+        if best is None:
+            return f"no feasible point under the {self.slo_p99_ms:.0f} ms p99 SLO"
+        return (
+            f"cost-optimal: {best.point.label()} at "
+            f"{best.cost_device_ms_per_job:.2f} device-ms/job, "
+            f"p99 {best.worst_p99_ms:.1f} ms (SLO {self.slo_p99_ms:.0f} ms)"
+        )
 
 
-def _build_scenario(classes: Dict[str, JobClass], config: FabConfig,
-                    point: SweepPoint, duration_s: float,
-                    arrivals: Optional[str] = None) -> Scenario:
-    """The mixed workload scaled to one grid point's pool capacity."""
-    share = point.load / len(classes)
-    streams = [
-        Stream(job_class,
-               rate_per_s=share * point.devices / job_class.seconds(config),
-               num_tenants=point.tenants,
-               tenant_prefix=f"{name}-t")
-        for name, job_class in sorted(classes.items())
-    ]
-    scenario = Scenario(f"sweep[{point.label()}]", duration_s, streams)
-    return scenario.with_arrivals(arrivals) if arrivals else scenario
-
-
-def _simulate_point(args: Tuple) -> SweepOutcome:
-    """Worker body: one grid point through the serving simulator.
-
-    Top-level (picklable) so a multiprocessing pool can run it; all
-    inputs travel by value, so fork and spawn give identical results.
-    """
-    (point, classes, config, duration_s, seed, max_batch,
-     slo_p99_ms, point_metrics, engine, arrivals) = args
-    cache_bytes = max(
-        int(HbmModel(config).capacity_bytes * point.cache_fraction), 1)
-    scenario = _build_scenario(classes, config, point, duration_s,
-                               arrivals)
-    simulator = ServingSimulator(config, num_devices=point.devices,
-                                 key_cache_bytes=cache_bytes,
-                                 max_batch=max_batch)
-    metrics = (MetricsRecorder(window_s=duration_s / 20,
-                               meta={"point": point.label()})
-               if point_metrics else None)
-    report = simulator.run(scenario, seed=seed, recorder=metrics,
-                           engine=engine)
-    worst_p99 = max((w.p99_ms for w in report.per_workload), default=0.0)
-    cost = (point.devices * report.makespan_s * 1e3 / report.jobs_done
-            if report.jobs_done else float("inf"))
-    # Feasible: tails meet the SLO and the backlog drains — the last
-    # completion lands within one SLO of the arrival horizon.
-    drains = report.makespan_s <= duration_s + slo_p99_ms / 1e3
-    feasible = (report.jobs_done > 0 and worst_p99 <= slo_p99_ms
-                and drains)
-    return SweepOutcome(
-        point=point,
-        jobs=report.jobs_done,
-        makespan_s=report.makespan_s,
-        worst_p99_ms=worst_p99,
-        throughput_jps=(report.jobs_done / report.makespan_s
-                        if report.makespan_s else 0.0),
-        device_utilization=report.device_utilization,
-        key_hit_rate=report.key_hit_rate,
-        cost_device_ms_per_job=cost,
-        feasible=feasible,
-        metrics=metrics.summary() if metrics is not None else None)
-
-
-def default_slo_p99_ms(classes: Dict[str, JobClass],
-                       config: FabConfig) -> float:
+def default_slo_p99_ms(classes: Dict[str, JobClass], config: FabConfig) -> float:
     """SLO heuristic: 8x the heaviest class's single-job service time.
 
     Scale-free: holds across pool sizes and hardware configs, loose
@@ -222,64 +142,134 @@ def default_slo_p99_ms(classes: Dict[str, JobClass],
     return 8.0 * slowest * 1e3
 
 
-def run_sweep(config: Optional[FabConfig] = None,
-              devices: Sequence[int] = DEFAULT_DEVICES,
-              cache_fractions: Sequence[float] = DEFAULT_CACHE_FRACTIONS,
-              tenants: Sequence[int] = DEFAULT_TENANTS,
-              loads: Sequence[float] = DEFAULT_LOADS,
-              duration_s: float = 1.0,
-              seed: int = 0,
-              max_batch: int = 8,
-              slo_p99_ms: Optional[float] = None,
-              workers: Optional[int] = None,
-              point_metrics: bool = False,
-              engine: str = "des",
-              arrivals: Optional[str] = None) -> SweepReport:
+def _prepare(p) -> None:
+    p["classes"] = build_job_classes(p["config"])
+    if p["slo_p99_ms"] is None:
+        p["slo_p99_ms"] = default_slo_p99_ms(p["classes"], p["config"])
+
+
+def _scenario(point: SweepPoint, p) -> Scenario:
+    """The mixed workload scaled to one grid point's pool capacity."""
+    share = point.load / len(p["classes"])
+    streams = [
+        Stream(
+            job_class,
+            rate_per_s=share * point.devices / job_class.seconds(p["config"]),
+            num_tenants=point.tenants,
+            tenant_prefix=f"{name}-t",
+        )
+        for name, job_class in sorted(p["classes"].items())
+    ]
+    scenario = Scenario(f"sweep[{point.label()}]", p["duration_s"], streams)
+    return scenario.with_arrivals(p["arrivals"]) if p["arrivals"] else scenario
+
+
+def _simulator(point: SweepPoint, p) -> Dict[str, int]:
+    capacity = HbmModel(p["config"]).capacity_bytes
+    return {"key_cache_bytes": max(int(capacity * point.cache_fraction), 1)}
+
+
+def _derive(point: SweepPoint, report, p) -> Dict[str, object]:
+    """Tail, device cost and feasibility of one grid point.
+
+    Feasible: tails meet the SLO and the backlog drains — the last
+    completion lands within one SLO of the arrival horizon.
+    """
+    jobs = report.jobs_done
+    worst_p99 = max((w.p99_ms for w in report.per_workload), default=0.0)
+    drains = report.makespan_s <= p["duration_s"] + p["slo_p99_ms"] / 1e3
+    cost = point.devices * report.makespan_s * 1e3 / jobs if jobs else math.inf
+    return {
+        "worst_p99_ms": worst_p99,
+        "cost_device_ms_per_job": cost,
+        "feasible": jobs > 0 and worst_p99 <= p["slo_p99_ms"] and drains,
+    }
+
+
+def _summary(report: ServeSweepReport) -> List[str]:
+    best = report.best
+    if best is None:
+        return ["no feasible configuration met the SLO"]
+    line = (
+        f"cost-optimal: {best.point.devices} devices, "
+        f"{best.point.cache_fraction:g} HBM key cache, "
+        f"{best.point.tenants} tenants/stream at load {best.point.load:g} -> "
+        f"{best.cost_device_ms_per_job:.2f} device-ms/job, "
+        f"p99 {best.worst_p99_ms:.1f} ms"
+    )
+    return [line]
+
+
+def run_sweep(
+    config: Optional[FabConfig] = None,
+    devices: Sequence[int] = DEFAULT_DEVICES,
+    cache_fractions: Sequence[float] = DEFAULT_CACHE_FRACTIONS,
+    tenants: Sequence[int] = DEFAULT_TENANTS,
+    loads: Sequence[float] = DEFAULT_LOADS,
+    duration_s: float = 1.0,
+    seed: int = 0,
+    max_batch: int = 8,
+    slo_p99_ms: Optional[float] = None,
+    workers: Optional[int] = None,
+    point_metrics: bool = False,
+    engine: str = "des",
+    arrivals: Optional[str] = None,
+) -> ServeSweepReport:
     """Simulate the full grid; returns the sweep report.
 
-    ``workers=None`` sizes the pool to the machine (capped at the grid
-    size); ``workers=1`` runs inline with no multiprocessing.  Either
-    way the grid points are deterministic, so the report is identical.
-    ``point_metrics=True`` attaches a windowed-metrics summary
-    (utilization, peak queue depth, SLO attainment, key traffic) to
-    every outcome; the recorder hooks are exercised but the simulated
-    schedule is bit-identical either way.  ``engine="fast"`` runs
-    every point through the vectorized engine (identical reports on
-    the same arrival sequences — the parity suite's guarantee — at a
-    fraction of the wall clock for long horizons); ``arrivals`` is an
-    optional process spec (see
-    :func:`repro.runtime.arrivals.make_process`) applied to every
-    stream, e.g. ``"diurnal"`` or ``"mmpp:burst=6"``.
+    ``workers=None`` sizes the process pool to the machine, ``1`` runs
+    inline; the report is identical either way.  ``point_metrics``
+    attaches a windowed-metrics summary to every outcome without
+    changing the schedule; ``engine="fast"`` runs the vectorized
+    engine; ``arrivals`` reshapes every stream (see
+    :func:`repro.runtime.arrivals.make_process`).
     """
-    config = config or FabConfig()
-    classes = build_job_classes(config)
-    if slo_p99_ms is None:
-        slo_p99_ms = default_slo_p99_ms(classes, config)
-    grid = [SweepPoint(d, c, t, load)
-            for d in devices for c in cache_fractions
-            for t in tenants for load in loads]
-    if not grid:
-        raise ValueError("empty sweep grid")
-    tasks = [(point, classes, config, duration_s, seed, max_batch,
-              slo_p99_ms, point_metrics, engine, arrivals)
-             for point in grid]
-    outcomes = fan_out(_simulate_point, tasks, workers=workers)
-    return SweepReport(outcomes=outcomes, slo_p99_ms=slo_p99_ms,
-                       duration_s=duration_s, seed=seed,
-                       provenance=dict(provenance(seed=seed,
-                                                  config=config,
-                                                  engine=engine)))
+    return SWEEP.simulate(locals())
 
 
-def run() -> ExperimentResult:
-    """Experiment-registry entry point: the default 48-point grid."""
-    return run_sweep(duration_s=0.5, workers=1).to_experiment_result()
-
-
-def main() -> None:
-    from .common import print_result
-    print_result(run())
-
+SWEEP = Sweep(
+    report=ServeSweepReport,
+    point=SweepPoint,
+    outcome=SweepOutcome,
+    axes=("devices", "cache_fractions", "tenants", "loads"),
+    scenario=_scenario,
+    run_sweep=run_sweep,
+    registry=dict(duration_s=0.5),  # the default 48-point grid
+    simulator=_simulator,
+    derive=_derive,
+    prepare=_prepare,
+    checks=(
+        check("cache_fractions", lambda c: 0 < c <= 1, "must be in (0, 1]"),
+        at_least_one("tenants"),
+        positive("loads"),
+    ),
+    stamp=lambda p: {"engine": p["engine"]},
+    blurb="Sweep pool x cache x tenants x load for the cost-optimal configuration.",
+    description="sweep pool x cache x tenants x load for the cost-optimal "
+    "serving configuration",
+    options=(
+        "--devices",
+        option("--cache-fracs", "key-cache sizes as fractions of HBM"),
+        option("--tenants", "tenants per stream to sweep"),
+        option("--loads", "offered loads (fraction of pool capacity)"),
+        "--duration",
+        "--seed",
+        "--max-batch",
+        option(
+            "--slo-ms",
+            "p99 SLO in ms (default: 8x the heaviest workload's service time)",
+            type=float,
+        ),
+        "--workers",
+        "--engine",
+        "--arrivals",
+        "--json",
+        "--point-metrics",
+    ),
+    summary=_summary,
+)
+run = SWEEP.experiment
+main = SWEEP.cli  # repro serve-sweep
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -30,15 +30,24 @@ CLI::
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+import sys
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.params import FabConfig
-from ..obs import MetricsRecorder, provenance
 from ..runtime.policies import POLICIES, PriceSignal
-from ..runtime.serving import ServingSimulator, build_slo_scenario
-from .common import ExperimentResult, ExperimentRow, fan_out
+from ..runtime.serving import build_slo_scenario
+from .common import (
+    Sweep,
+    SweepInputError,
+    SweepReport,
+    check,
+    check_stripe,
+    distinct,
+    option,
+    pareto_frontier,
+    positive,
+)
 
 #: Default grid: 2 pools x 3 loads x 2 mixes, every policy = 36 runs.
 DEFAULT_POLICIES = ("fifo", "edf", "deferrable-window")
@@ -88,57 +97,41 @@ class PolicyOutcome:
 
 
 @dataclass
-class SloSweepReport:
+class SloSweepReport(SweepReport):
     """The full grid plus per-point comparisons and the frontier."""
 
-    outcomes: List[PolicyOutcome]
     policies: Tuple[str, ...]
     duration_s: float
     seed: int
-    peak: float
-    trough: float
-    #: Seed / config-digest / git-describe stamp, embedded in the JSON
-    #: artifact so every sweep file is traceable to its inputs.
-    provenance: Optional[Dict[str, object]] = None
+    #: The diurnal price signal's ``{"peak", "trough"}`` levels.
+    price: Dict[str, float]
 
-    def by_point(self) -> Dict[str, Dict[str, PolicyOutcome]]:
-        """``{point label: {policy: outcome}}`` over the whole grid."""
-        table: Dict[str, Dict[str, PolicyOutcome]] = {}
-        for outcome in self.outcomes:
-            table.setdefault(outcome.point.label(), {})[outcome.policy] = outcome
-        return table
+    experiment_id = "slo_sweep"
+    title = "SLO sweep: policy x load x mix x pool size"
+    arm = "policy"
+    columns = {
+        "policy": "policy",
+        "devices": "point.devices",
+        "load": "point.load",
+        "mix": "point.mix",
+        "jobs": "jobs_done",
+        "slo_pct": lambda o: 100 * o.slo_attainment,
+        "int_slo_pct": lambda o: 100 * o.interactive_slo,
+        "int_p99_ms": "interactive_p99_ms",
+        "rejected": "rejected",
+        "deferred": "deferred",
+        "cost": lambda o: o.cost_price_units * 1e3,
+    }
 
     def pareto_frontier(self) -> List[PolicyOutcome]:
         """Non-dominated outcomes: minimize price-units per served
         job, maximize SLO attainment.
 
         Per-job cost keeps points with different offered loads
-        comparable.  An outcome is dominated when another one costs no
-        more per job *and* attains no less SLO, with at least one
-        strict; the frontier is returned cheapest-first.
+        comparable; the frontier is returned cheapest-first.
         """
-        frontier = []
-        for candidate in self.outcomes:
-            dominated = False
-            for other in self.outcomes:
-                if other is candidate:
-                    continue
-                no_worse = (
-                    other.cost_per_job <= candidate.cost_per_job
-                    and other.slo_attainment >= candidate.slo_attainment
-                )
-                strictly = (
-                    other.cost_per_job < candidate.cost_per_job
-                    or other.slo_attainment > candidate.slo_attainment
-                )
-                if no_worse and strictly:
-                    dominated = True
-                    break
-            if not dominated:
-                frontier.append(candidate)
-        return sorted(
-            frontier,
-            key=lambda o: (o.cost_per_job, -o.slo_attainment),
+        return pareto_frontier(
+            self.outcomes, minimize="cost_per_job", maximize="slo_attainment"
         )
 
     def headline(self) -> Dict[str, object]:
@@ -158,121 +151,79 @@ class SloSweepReport:
             if fifo and edf and fifo.point.load >= HIGH_LOAD:
                 edf_rows.append((label, fifo.slo_attainment, edf.slo_attainment))
             if fifo and deferrable:
-                deferrable_rows.append(
-                    (
-                        label,
-                        fifo.cost_price_units,
-                        deferrable.cost_price_units,
-                        fifo.interactive_slo,
-                        deferrable.interactive_slo,
-                    )
-                )
+                costs = (fifo.cost_price_units, deferrable.cost_price_units)
+                slos = (fifo.interactive_slo, deferrable.interactive_slo)
+                deferrable_rows.append((label, *costs, *slos))
         return {
             "edf_vs_fifo_high_load": edf_rows,
             "deferrable_vs_fifo": deferrable_rows,
         }
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "policies": list(self.policies),
-            "duration_s": self.duration_s,
-            "seed": self.seed,
-            "provenance": self.provenance,
-            "price": {"peak": self.peak, "trough": self.trough},
-            "grid_points": len(self.by_point()),
-            "headline": self.headline(),
-            "pareto": [
-                {
-                    "point": o.point.label(),
-                    "policy": o.policy,
-                    "cost_price_units": o.cost_price_units,
-                    "cost_per_job": o.cost_per_job,
-                    "slo_attainment": o.slo_attainment,
-                }
-                for o in self.pareto_frontier()
-            ],
-            "outcomes": [asdict(o) for o in self.outcomes],
-        }
-
-    def save_json(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
-
-    def to_experiment_result(self) -> ExperimentResult:
-        columns = [
-            "policy",
-            "devices",
-            "load",
-            "mix",
-            "jobs",
-            "slo_pct",
-            "int_slo_pct",
-            "int_p99_ms",
-            "rejected",
-            "deferred",
-            "cost",
+    def sections(self) -> Dict[str, object]:
+        pareto = [
+            {
+                "point": o.point.label(),
+                "policy": o.policy,
+                "cost_price_units": o.cost_price_units,
+                "cost_per_job": o.cost_per_job,
+                "slo_attainment": o.slo_attainment,
+            }
+            for o in self.pareto_frontier()
         ]
-        rows = [
-            ExperimentRow(
-                f"{o.point.label()}/{o.policy}",
-                {
-                    "policy": o.policy,
-                    "devices": o.point.devices,
-                    "load": o.point.load,
-                    "mix": o.point.mix,
-                    "jobs": o.jobs_done,
-                    "slo_pct": 100 * o.slo_attainment,
-                    "int_slo_pct": 100 * o.interactive_slo,
-                    "int_p99_ms": o.interactive_p99_ms,
-                    "rejected": o.rejected,
-                    "deferred": o.deferred,
-                    "cost": o.cost_price_units * 1e3,
-                },
-            )
-            for o in self.outcomes
-        ]
+        return {"headline": self.headline(), "pareto": pareto}
+
+    def notes(self) -> str:
         frontier = self.pareto_frontier()
-        notes = (
+        return (
             f"{len(self.by_point())} grid points x "
             f"{len(self.policies)} policies; Pareto frontier: "
             + ", ".join(f"{o.point.label()}/{o.policy}" for o in frontier[:4])
             + (" ..." if len(frontier) > 4 else "")
         )
-        return ExperimentResult(
-            experiment_id="slo_sweep",
-            title="SLO sweep: policy x load x mix x pool size",
-            columns=columns,
-            rows=rows,
-            notes=notes,
-        )
 
 
-def _simulate_point(args: Tuple) -> PolicyOutcome:
-    """Worker body: one (grid point, policy) pair through the sim.
+def _known_policies(p) -> None:
+    unknown = [name for name in p["policies"] if name not in POLICIES]
+    if unknown:
+        message = f"unknown policies {unknown!r}; try: {sorted(POLICIES)}"
+        raise SweepInputError("policies", message)
 
-    Top-level (picklable) so a multiprocessing pool can run it; all
-    inputs travel by value, so fork and spawn give identical results.
-    """
-    (point, policy, scenario, config, price, seed, max_batch, point_metrics, engine) = (
-        args
+
+def _price_levels(p) -> None:
+    if not 0 <= p["trough"] <= p["peak"]:
+        raise SweepInputError("trough", "need 0 <= trough <= peak")
+
+
+def _prepare(p) -> None:
+    """Two price slots per half-horizon, so a batch window equal to
+    the horizon always contains a cheap slot."""
+    p["price"] = {"peak": p["peak"], "trough": p["trough"]}
+    p["price_signal"] = PriceSignal.diurnal(
+        peak=p["peak"], trough=p["trough"], slot_s=p["duration_s"] / 4.0
     )
-    simulator = ServingSimulator(
-        config,
+
+
+def _scenario(point: SloPoint, p):
+    scenario = build_slo_scenario(
+        p["config"],
         num_devices=point.devices,
-        max_batch=max_batch,
+        duration_s=p["duration_s"],
+        target_load=point.load,
+        interactive_fraction=point.mix,
+        training_stripe=p["training_stripe"],
     )
-    metrics = (
-        MetricsRecorder(
-            window_s=scenario.duration_s / 20,
-            meta={"point": point.label(), "policy": policy},
-        )
-        if point_metrics
-        else None
-    )
-    report = simulator.run(
-        scenario, seed=seed, policy=policy, price=price, recorder=metrics,
-        engine=engine
-    )
+    return scenario.with_arrivals(p["arrivals"]) if p["arrivals"] else scenario
+
+
+def _arms(point: SloPoint, p):
+    price = p["price_signal"]
+    return [
+        ({"policy": name}, {"policy": name, "price": price}) for name in p["policies"]
+    ]
+
+
+def _derive(point: SloPoint, report, p) -> Dict[str, object]:
+    """Per-tier SLO and tail, and price-units per served job."""
     interactive = None
     batch_slo = None
     for stats in report.per_workload:
@@ -292,21 +243,23 @@ def _simulate_point(args: Tuple) -> PolicyOutcome:
         cost_per_job = report.cost_price_units / report.jobs_done
     else:
         cost_per_job = float("inf")
-    return PolicyOutcome(
-        point=point,
-        policy=policy,
-        jobs_done=report.jobs_done,
-        rejected=report.rejected_jobs,
-        deferred=report.deferred_jobs,
-        slo_attainment=report.slo_attainment or 0.0,
-        interactive_slo=interactive_slo,
-        interactive_p99_ms=interactive_p99_ms,
-        batch_slo=batch_slo,
-        cost_price_units=report.cost_price_units,
-        cost_per_job=cost_per_job,
-        makespan_s=report.makespan_s,
-        metrics=metrics.summary() if metrics is not None else None,
-    )
+    return {
+        "slo_attainment": report.slo_attainment or 0.0,
+        "interactive_slo": interactive_slo,
+        "interactive_p99_ms": interactive_p99_ms,
+        "batch_slo": batch_slo,
+        "cost_per_job": cost_per_job,
+    }
+
+
+def _summary(report: SloSweepReport) -> List[str]:
+    lines = ["cost/SLO Pareto frontier (price-units/job, attainment):"]
+    for o in report.pareto_frontier():
+        lines.append(
+            f"  {o.point.label():>16s} {o.policy:>18s} "
+            f"{o.cost_per_job * 1e3:8.2f} {100 * o.slo_attainment:6.1f}%"
+        )
+    return lines
 
 
 def run_sweep(
@@ -328,86 +281,59 @@ def run_sweep(
 ) -> SloSweepReport:
     """Simulate the full policy grid; returns the sweep report.
 
-    Every policy at one grid point sees the same scenario (same
-    arrival sequence for the point's seed) and the same diurnal price
-    signal — two slots per half-horizon, so a batch window equal to
-    the horizon always contains a cheap slot.  ``workers=None`` sizes
-    the pool to the machine; ``workers=1`` runs inline.  Either way
-    the grid is deterministic, so the report is identical.
-    ``engine="fast"`` runs every point through the vectorized engine
-    (identical reports on shared arrival sequences); ``arrivals`` is
-    an optional process spec applied to every stream (see
-    :func:`repro.runtime.arrivals.make_process`).
+    Every policy at one grid point sees the same arrival sequence and
+    the same diurnal price signal.  ``workers``, ``point_metrics``,
+    ``engine`` and ``arrivals`` act as in
+    :func:`repro.experiments.serve_sweep.run_sweep`.
     """
-    config = config or FabConfig()
-    unknown = [p for p in policies if p not in POLICIES]
-    if unknown:
-        raise ValueError(f"unknown policies {unknown!r}; try: {sorted(POLICIES)}")
-    if duration_s <= 0:
-        raise ValueError("duration_s must be positive")
-    price = PriceSignal.diurnal(
-        peak=peak,
-        trough=trough,
-        slot_s=duration_s / 4.0,
-    )
-    grid = [SloPoint(d, load, m) for d in devices for load in loads for m in mixes]
-    if not grid:
-        raise ValueError("empty sweep grid")
-    tasks = []
-    for point in grid:
-        scenario = build_slo_scenario(
-            config,
-            num_devices=point.devices,
-            duration_s=duration_s,
-            target_load=point.load,
-            interactive_fraction=point.mix,
-            training_stripe=training_stripe,
-        )
-        if arrivals:
-            scenario = scenario.with_arrivals(arrivals)
-        for policy in policies:
-            tasks.append(
-                (
-                    point,
-                    policy,
-                    scenario,
-                    config,
-                    price,
-                    seed,
-                    max_batch,
-                    point_metrics,
-                    engine,
-                )
-            )
-    outcomes = fan_out(_simulate_point, tasks, workers=workers)
-    return SloSweepReport(
-        outcomes=outcomes,
-        policies=tuple(policies),
-        duration_s=duration_s,
-        seed=seed,
-        peak=peak,
-        trough=trough,
-        provenance=dict(provenance(seed=seed, config=config, engine=engine)),
-    )
+    return SWEEP.simulate(locals())
 
 
-def run() -> ExperimentResult:
-    """Experiment-registry entry point: a reduced inline grid."""
-    report = run_sweep(
-        devices=(4,),
-        loads=(0.6, 1.4),
-        mixes=(0.6,),
-        duration_s=0.4,
-        workers=1,
-    )
-    return report.to_experiment_result()
-
-
-def main() -> None:
-    from .common import print_result
-
-    print_result(run())
-
+SWEEP = Sweep(
+    report=SloSweepReport,
+    point=SloPoint,
+    outcome=PolicyOutcome,
+    axes=("devices", "loads", "mixes"),
+    scenario=_scenario,
+    run_sweep=run_sweep,
+    registry=dict(devices=(4,), loads=(0.6, 1.4), mixes=(0.6,), duration_s=0.4),
+    arms=_arms,
+    derive=_derive,
+    prepare=_prepare,
+    checks=(
+        _known_policies,
+        distinct("policies"),
+        positive("loads"),
+        check("mixes", lambda m: 0 <= m <= 1, "must be in [0, 1]"),
+        check_stripe,
+        _price_levels,
+    ),
+    stamp=lambda p: {"engine": p["engine"]},
+    blurb="Sweep policy x load x mix x pool size; cost/SLO Pareto frontier.",
+    description="sweep policy x load x mix x pool size on the SLO-annotated "
+    "two-tier scenario; report per-point comparisons and the cost/SLO Pareto "
+    "frontier",
+    options=(
+        option("--policies", "policies to sweep", choices=list(DEFAULT_POLICIES)),
+        "--devices",
+        option("--loads", "offered loads (fraction of pool capacity)"),
+        option("--mixes", "interactive fraction of the offered load"),
+        "--duration",
+        "--seed",
+        "--max-batch",
+        "--stripe",
+        option("--peak", "price during expensive slots"),
+        option("--trough", "price during cheap slots"),
+        "--workers",
+        "--engine",
+        "--arrivals",
+        "--json",
+        "--point-metrics",
+    ),
+    summary=_summary,
+)
+run = SWEEP.experiment
+main = SWEEP.cli  # repro slo-sweep
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

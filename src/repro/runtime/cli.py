@@ -1,5 +1,5 @@
-"""CLI for the runtime subsystem: ``trace``, ``serve``, ``serve-sweep``,
-``slo-sweep``, ``fault-sweep``, ``stripe-scale``.
+"""CLI for the runtime subsystem: ``trace``, ``serve``, ``timeline``,
+``stripe-scale``.
 
 ``trace`` lowers a workload trace to a FAB program and prints its op
 mix, key working set, and scheduled cost.  By default it uses the
@@ -17,27 +17,21 @@ wave price/carbon signal the ``slo_mixed`` scenario's deferrable tier
 schedules around.  ``--engine fast`` swaps in the vectorized event
 core (~10x the DES event rate at fleet scale, parity-tested) and
 ``--arrivals SPEC`` reshapes every stream's arrival process (diurnal,
-MMPP bursts, flash crowds, JSONL trace replay); both flags also apply
-per grid point in the sweep drivers below.
+MMPP bursts, flash crowds, JSONL trace replay).
 
-``serve-sweep`` fans the simulator out over the pool-size x cache-size
-x tenant-count x load grid (multiprocessing), prints the full grid
-with the cost-optimal configuration, and writes a JSON artifact.
-
-``slo-sweep`` fans out over policy x load x interactive/batch mix x
-pool size on the SLO-annotated two-tier scenario, prints per-point
-policy comparisons with the cost/SLO Pareto frontier, and writes a
-JSON artifact.
-
-``fault-sweep`` fans out over board MTBF x retry policy x pool size
-with fault injection on (``serve`` gets the same machinery via
-``--faults``/``--retry``), prints backoff-vs-none goodput per point
-and the goodput/wasted-service resilience frontier, and writes a JSON
-artifact.
+``timeline`` renders a ``serve --metrics`` artifact as a terminal
+summary.
 
 ``stripe-scale`` sweeps boards x batch x board-assignment policy for
 one trace striped across the FAB-2 pool and reconciles the
 trace-driven speedup against the analytic ``MultiFpgaSystem`` model.
+
+The five serving sweeps — ``serve-sweep``, ``slo-sweep``,
+``fault-sweep``, ``autoscale-sweep`` and
+``resilience-autoscale-sweep`` — are not here: each is a declarative
+:class:`repro.experiments.common.Sweep`, whose ``cli`` builds the
+command from the sweep module's ``run_sweep`` (see
+:data:`repro.experiments.SWEEPS`).
 """
 
 from __future__ import annotations
@@ -52,7 +46,7 @@ from ..experiments.common import print_result
 from ..obs import (MetricsRecorder, TimelineRecorder, compose,
                    provenance, render_metrics)
 from .arrivals import ARRIVAL_PROCESSES
-from .autoscaler import SCALE_POLICIES, make_scale_policy
+from .autoscaler import make_scale_policy
 from .capture import capture
 from .faults import (FAULT_PROCESSES, RETRY_POLICIES, make_fault_process,
                      make_retry_policy)
@@ -362,444 +356,6 @@ def run_timeline(argv: List[str]) -> int:
         print(f"{args.artifact} is not a serving metrics artifact")
         return 1
     print(render_metrics(data, width=args.width, max_rows=args.rows))
-    return 0
-
-
-def run_serve_sweep(argv: List[str]) -> int:
-    """Entry point for ``python -m repro serve-sweep``."""
-    from ..experiments.serve_sweep import (DEFAULT_CACHE_FRACTIONS,
-                                           DEFAULT_DEVICES, DEFAULT_LOADS,
-                                           DEFAULT_TENANTS, run_sweep)
-    parser = argparse.ArgumentParser(
-        prog="repro serve-sweep",
-        description="sweep pool x cache x tenants x load for the "
-                    "cost-optimal serving configuration")
-    parser.add_argument("--devices", type=int, nargs="+",
-                        default=list(DEFAULT_DEVICES),
-                        help="pool sizes to sweep")
-    parser.add_argument("--cache-fracs", type=float, nargs="+",
-                        default=list(DEFAULT_CACHE_FRACTIONS),
-                        help="key-cache sizes as fractions of HBM")
-    parser.add_argument("--tenants", type=int, nargs="+",
-                        default=list(DEFAULT_TENANTS),
-                        help="tenants per stream to sweep")
-    parser.add_argument("--loads", type=float, nargs="+",
-                        default=list(DEFAULT_LOADS),
-                        help="offered loads (fraction of pool capacity)")
-    parser.add_argument("--duration", type=float, default=1.0,
-                        help="arrival horizon per grid point (seconds)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--max-batch", type=int, default=8)
-    parser.add_argument("--slo-ms", type=float, default=None,
-                        help="p99 SLO in ms (default: 8x the heaviest "
-                             "workload's service time)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="simulation processes (default: one per "
-                             "core, capped at the grid; 1 = inline)")
-    parser.add_argument("--engine", default="des", choices=list(ENGINES),
-                        help="event core per grid point (default: des)")
-    parser.add_argument("--arrivals", default=None, metavar="SPEC",
-                        help="arrival process for every stream "
-                             "(NAME[:key=value,...] or replay:PATH; "
-                             "default: Poisson)")
-    parser.add_argument("--json", metavar="PATH",
-                        default="serve_sweep.json",
-                        help="JSON artifact path ('' to skip)")
-    parser.add_argument("--point-metrics", action="store_true",
-                        help="attach a windowed-metrics summary to "
-                             "every grid point in the JSON artifact")
-    args = parser.parse_args(argv)
-    if args.duration <= 0:
-        parser.error("--duration must be positive")
-    if any(d < 1 for d in args.devices):
-        parser.error("--devices must be >= 1")
-    if any(not 0 < c <= 1 for c in args.cache_fracs):
-        parser.error("--cache-fracs must be in (0, 1]")
-    if any(t < 1 for t in args.tenants):
-        parser.error("--tenants must be >= 1")
-    if any(load <= 0 for load in args.loads):
-        parser.error("--loads must be positive")
-
-    report = run_sweep(FabConfig(), devices=args.devices,
-                       cache_fractions=args.cache_fracs,
-                       tenants=args.tenants, loads=args.loads,
-                       duration_s=args.duration, seed=args.seed,
-                       max_batch=args.max_batch, slo_p99_ms=args.slo_ms,
-                       workers=args.workers,
-                       point_metrics=args.point_metrics,
-                       engine=args.engine, arrivals=args.arrivals)
-    print_result(report.to_experiment_result())
-    best = report.best
-    if best is None:
-        print("no feasible configuration met the SLO")
-    else:
-        print(f"cost-optimal: {best.point.devices} devices, "
-              f"{best.point.cache_fraction:g} HBM key cache, "
-              f"{best.point.tenants} tenants/stream at load "
-              f"{best.point.load:g} -> "
-              f"{best.cost_device_ms_per_job:.2f} device-ms/job, "
-              f"p99 {best.worst_p99_ms:.1f} ms")
-    if args.json:
-        report.save_json(args.json)
-        print(f"sweep written to {args.json}")
-    return 0
-
-
-def run_slo_sweep(argv: List[str]) -> int:
-    """Entry point for ``python -m repro slo-sweep``."""
-    from ..experiments.slo_sweep import (DEFAULT_DEVICES, DEFAULT_LOADS,
-                                         DEFAULT_MIXES, DEFAULT_PEAK,
-                                         DEFAULT_POLICIES, DEFAULT_TROUGH,
-                                         run_sweep)
-    parser = argparse.ArgumentParser(
-        prog="repro slo-sweep",
-        description="sweep policy x load x mix x pool size on the "
-                    "SLO-annotated two-tier scenario; report per-point "
-                    "comparisons and the cost/SLO Pareto frontier")
-    parser.add_argument("--policies", nargs="+",
-                        default=list(DEFAULT_POLICIES),
-                        choices=list(DEFAULT_POLICIES),
-                        help="policies to sweep")
-    parser.add_argument("--devices", type=int, nargs="+",
-                        default=list(DEFAULT_DEVICES),
-                        help="pool sizes to sweep")
-    parser.add_argument("--loads", type=float, nargs="+",
-                        default=list(DEFAULT_LOADS),
-                        help="offered loads (fraction of pool capacity)")
-    parser.add_argument("--mixes", type=float, nargs="+",
-                        default=list(DEFAULT_MIXES),
-                        help="interactive fraction of the offered load")
-    parser.add_argument("--duration", type=float, default=0.5,
-                        help="arrival horizon per grid point (seconds)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--max-batch", type=int, default=8)
-    parser.add_argument("--stripe", type=int, default=1, metavar="K",
-                        help="stripe the batch tier across K boards "
-                             "(gang scheduling; default 1)")
-    parser.add_argument("--peak", type=float, default=DEFAULT_PEAK,
-                        help="price during expensive slots")
-    parser.add_argument("--trough", type=float, default=DEFAULT_TROUGH,
-                        help="price during cheap slots")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="simulation processes (default: one per "
-                             "core, capped at the grid; 1 = inline)")
-    parser.add_argument("--engine", default="des", choices=list(ENGINES),
-                        help="event core per grid point (default: des)")
-    parser.add_argument("--arrivals", default=None, metavar="SPEC",
-                        help="arrival process for every stream "
-                             "(NAME[:key=value,...] or replay:PATH; "
-                             "default: Poisson)")
-    parser.add_argument("--json", metavar="PATH",
-                        default="slo_sweep.json",
-                        help="JSON artifact path ('' to skip)")
-    parser.add_argument("--point-metrics", action="store_true",
-                        help="attach a windowed-metrics summary to "
-                             "every grid point in the JSON artifact")
-    args = parser.parse_args(argv)
-    if args.duration <= 0:
-        parser.error("--duration must be positive")
-    if any(d < 1 for d in args.devices):
-        parser.error("--devices must be >= 1")
-    if any(load <= 0 for load in args.loads):
-        parser.error("--loads must be positive")
-    if any(not 0 <= m <= 1 for m in args.mixes):
-        parser.error("--mixes must be in [0, 1]")
-    if args.stripe < 1 or (args.stripe > 1 and args.stripe % 2):
-        parser.error("--stripe must be 1 or even (boards pair up)")
-    if args.stripe > min(args.devices):
-        parser.error("--stripe cannot exceed the smallest pool")
-    if args.peak < args.trough or args.trough < 0:
-        parser.error("need 0 <= --trough <= --peak")
-
-    report = run_sweep(FabConfig(), policies=args.policies,
-                       devices=args.devices, loads=args.loads,
-                       mixes=args.mixes, duration_s=args.duration,
-                       seed=args.seed, max_batch=args.max_batch,
-                       training_stripe=args.stripe, peak=args.peak,
-                       trough=args.trough, workers=args.workers,
-                       point_metrics=args.point_metrics,
-                       engine=args.engine, arrivals=args.arrivals)
-    print_result(report.to_experiment_result())
-    frontier = report.pareto_frontier()
-    print("cost/SLO Pareto frontier (price-units/job, attainment):")
-    for outcome in frontier:
-        print(f"  {outcome.point.label():>16s} {outcome.policy:>18s} "
-              f"{outcome.cost_per_job * 1e3:8.2f} "
-              f"{100 * outcome.slo_attainment:6.1f}%")
-    if args.json:
-        report.save_json(args.json)
-        print(f"sweep written to {args.json}")
-    return 0
-
-
-def run_fault_sweep(argv: List[str]) -> int:
-    """Entry point for ``python -m repro fault-sweep``."""
-    from ..experiments.fault_sweep import (DEFAULT_ARRIVALS,
-                                           DEFAULT_DEVICES,
-                                           DEFAULT_MTBFS, DEFAULT_MTTR,
-                                           DEFAULT_RETRIES,
-                                           DEFAULT_SLO_SCALE, run_sweep)
-    parser = argparse.ArgumentParser(
-        prog="repro fault-sweep",
-        description="sweep board MTBF x retry policy x pool size "
-                    "under fault injection; report per-point "
-                    "backoff-vs-none goodput and the resilience "
-                    "(goodput vs wasted-service) frontier")
-    parser.add_argument("--retries", nargs="+",
-                        default=list(DEFAULT_RETRIES), metavar="SPEC",
-                        help="retry policy specs to sweep "
-                             "(NAME[:key=value,...]; one per policy "
-                             "name)")
-    parser.add_argument("--devices", type=int, nargs="+",
-                        default=list(DEFAULT_DEVICES),
-                        help="pool sizes to sweep")
-    parser.add_argument("--mtbfs", type=float, nargs="+",
-                        default=list(DEFAULT_MTBFS),
-                        help="per-board mean time between failures "
-                             "(seconds) to sweep")
-    parser.add_argument("--mttr", type=float, default=DEFAULT_MTTR,
-                        help="mean time to repair in seconds "
-                             f"(default {DEFAULT_MTTR:g})")
-    parser.add_argument("--duration", type=float, default=0.5,
-                        help="arrival horizon per grid point (seconds)")
-    parser.add_argument("--load", type=float, default=0.8,
-                        help="offered load fraction of pool capacity")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--max-batch", type=int, default=8)
-    parser.add_argument("--stripe", type=int, default=1, metavar="K",
-                        help="stripe the batch tier across K boards "
-                             "(gang scheduling; default 1)")
-    parser.add_argument("--slo-scale", type=float,
-                        default=DEFAULT_SLO_SCALE,
-                        help="interactive deadline as a multiple of "
-                             "the fault-free default - resilience "
-                             "headroom for retries to land in "
-                             f"(default {DEFAULT_SLO_SCALE:g}; at 1 "
-                             "retried jobs miss their deadlines and "
-                             "no-retry wins on goodput)")
-    parser.add_argument("--arrivals", default=DEFAULT_ARRIVALS,
-                        metavar="SPEC",
-                        help="arrival process for every stream "
-                             "(NAME[:key=value,...], '' to keep each "
-                             "stream's own Poisson process; default: "
-                             f"{DEFAULT_ARRIVALS})")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="simulation processes (default: one per "
-                             "core, capped at the grid; 1 = inline)")
-    parser.add_argument("--json", metavar="PATH",
-                        default="fault_sweep.json",
-                        help="JSON artifact path ('' to skip)")
-    args = parser.parse_args(argv)
-    if args.duration <= 0:
-        parser.error("--duration must be positive")
-    if any(d < 1 for d in args.devices):
-        parser.error("--devices must be >= 1")
-    if any(m <= 0 for m in args.mtbfs):
-        parser.error("--mtbfs must be positive")
-    if args.mttr <= 0:
-        parser.error("--mttr must be positive")
-    if args.load <= 0:
-        parser.error("--load must be positive")
-    if args.stripe < 1 or (args.stripe > 1 and args.stripe % 2):
-        parser.error("--stripe must be 1 or even (boards pair up)")
-    if args.stripe > min(args.devices):
-        parser.error("--stripe cannot exceed the smallest pool")
-    if args.slo_scale <= 0:
-        parser.error("--slo-scale must be positive")
-    for spec in args.retries:
-        try:
-            make_retry_policy(spec)
-        except ValueError as exc:
-            parser.error(f"--retries: {exc}")
-
-    report = run_sweep(FabConfig(), retries=args.retries,
-                       devices=args.devices, mtbfs=args.mtbfs,
-                       mttr_s=args.mttr, duration_s=args.duration,
-                       target_load=args.load, seed=args.seed,
-                       max_batch=args.max_batch,
-                       training_stripe=args.stripe,
-                       slo_scale=args.slo_scale,
-                       arrivals=args.arrivals or None,
-                       workers=args.workers)
-    print_result(report.to_experiment_result())
-    print("backoff vs none (goodput jobs at equal fault schedule):")
-    for label, faults, none_good, backoff_good in (
-            report.headline()["backoff_vs_none"]):
-        print(f"  {label:>14s} {faults:4d} faults: "
-              f"none {none_good:5d} -> backoff {backoff_good:5d}")
-    frontier = report.resilience_frontier()
-    print("resilience frontier (wasted board-seconds, goodput/s):")
-    for outcome in frontier:
-        print(f"  {outcome.point.label():>14s} "
-              f"{outcome.retry.partition(':')[0]:>10s} "
-              f"{outcome.wasted_service_s:8.3f}s "
-              f"{outcome.goodput_jps:8.1f}/s")
-    if args.json:
-        report.save_json(args.json)
-        print(f"sweep written to {args.json}")
-    return 0
-
-
-def run_autoscale_sweep(argv: List[str]) -> int:
-    """Entry point for ``python -m repro autoscale-sweep``."""
-    from ..experiments.autoscale_sweep import (DEFAULT_ARRIVALS,
-                                               DEFAULT_POLICIES,
-                                               DEFAULT_TARGET_LOAD,
-                                               run_sweep)
-    parser = argparse.ArgumentParser(
-        prog="repro autoscale-sweep",
-        description="sweep scale policy x arrival pattern on "
-                    "interactive SLO serving; report cost per goodput "
-                    "(board-seconds per deadline-met job) vs the "
-                    "static-pool baseline")
-    parser.add_argument("--policies", nargs="+",
-                        default=list(DEFAULT_POLICIES), metavar="SPEC",
-                        help="scale policy specs to sweep ('static' "
-                             "for the fixed pool, else "
-                             "NAME[:key=value,...] with NAME in "
-                             f"{'/'.join(SCALE_POLICIES)}; one per "
-                             "policy name)")
-    parser.add_argument("--devices", type=int, nargs="+", default=[8],
-                        help="pool sizes to sweep")
-    parser.add_argument("--arrivals", nargs="+", metavar="SPEC",
-                        default=[spec for _, spec in DEFAULT_ARRIVALS],
-                        help="arrival process specs to sweep "
-                             "(NAME[:key=value,...]; default: "
-                             "diurnal wave, MMPP bursts, flash crowd)")
-    parser.add_argument("--duration", type=float, default=1.0,
-                        help="arrival horizon per grid point (seconds; "
-                             "long enough for a full diurnal trough)")
-    parser.add_argument("--load", type=float,
-                        default=DEFAULT_TARGET_LOAD,
-                        help="mean offered load fraction of pool "
-                             "capacity (the diurnal wave swings "
-                             "around this; default "
-                             f"{DEFAULT_TARGET_LOAD:g})")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--max-batch", type=int, default=8)
-    parser.add_argument("--workers", type=int, default=None,
-                        help="simulation processes (default: one per "
-                             "core, capped at the grid; 1 = inline)")
-    parser.add_argument("--json", metavar="PATH",
-                        default="autoscale_sweep.json",
-                        help="JSON artifact path ('' to skip)")
-    args = parser.parse_args(argv)
-    if args.duration <= 0:
-        parser.error("--duration must be positive")
-    if any(d < 1 for d in args.devices):
-        parser.error("--devices must be >= 1")
-    if args.load <= 0:
-        parser.error("--load must be positive")
-    for spec in args.policies:
-        if spec == "static":
-            continue
-        try:
-            make_scale_policy(spec)
-        except ValueError as exc:
-            parser.error(f"--policies: {exc}")
-    arrivals = [(spec.partition(":")[0], spec)
-                for spec in args.arrivals]
-
-    report = run_sweep(FabConfig(), policies=args.policies,
-                       arrivals=arrivals, devices=args.devices,
-                       duration_s=args.duration,
-                       target_load=args.load, seed=args.seed,
-                       max_batch=args.max_batch, workers=args.workers)
-    print_result(report.to_experiment_result())
-    print("autoscale vs static (board-ms per deadline-met job):")
-    for label, static_cost, best, best_cost in (
-            report.headline()["autoscale_vs_static"]):
-        verdict = ("beats static" if best_cost < static_cost
-                   else "does NOT beat static")
-        print(f"  {label:>12s}: static {static_cost * 1e3:7.3f} -> "
-              f"{best} {best_cost * 1e3:7.3f}  ({verdict})")
-    if args.json:
-        report.save_json(args.json)
-        print(f"sweep written to {args.json}")
-    return 0
-
-
-def run_resilience_autoscale_sweep(argv: List[str]) -> int:
-    """Entry point for ``python -m repro resilience-autoscale-sweep``."""
-    from ..experiments.resilience_autoscale_sweep import (
-        DEFAULT_ARRIVALS, DEFAULT_FAULTS, DEFAULT_MECHANISMS,
-        DEFAULT_RETRY, DEFAULT_TARGET_LOAD, run_sweep)
-    parser = argparse.ArgumentParser(
-        prog="repro resilience-autoscale-sweep",
-        description="sweep pool-membership mechanisms (static / "
-                    "elastic / spares / combined) under faulty "
-                    "diurnal SLO serving; report cost per goodput "
-                    "through the unified membership ledger")
-    parser.add_argument("--devices", type=int, nargs="+", default=[8],
-                        help="pool sizes to sweep")
-    parser.add_argument("--arrivals", nargs="+", metavar="SPEC",
-                        default=[spec for _, spec in DEFAULT_ARRIVALS],
-                        help="arrival process specs to sweep "
-                             "(NAME[:key=value,...]; default: "
-                             "diurnal wave)")
-    parser.add_argument("--faults", default=DEFAULT_FAULTS,
-                        metavar="SPEC",
-                        help="fault process shared by every mechanism "
-                             f"(default {DEFAULT_FAULTS})")
-    parser.add_argument("--retry", default=DEFAULT_RETRY,
-                        metavar="SPEC",
-                        help="retry policy shared by every mechanism "
-                             f"(default {DEFAULT_RETRY})")
-    parser.add_argument("--duration", type=float, default=1.0,
-                        help="arrival horizon per grid point (seconds; "
-                             "long enough for several faults and a "
-                             "full diurnal trough)")
-    parser.add_argument("--load", type=float,
-                        default=DEFAULT_TARGET_LOAD,
-                        help="mean offered load fraction of pool "
-                             "capacity (default "
-                             f"{DEFAULT_TARGET_LOAD:g})")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--max-batch", type=int, default=8)
-    parser.add_argument("--workers", type=int, default=None,
-                        help="simulation processes (default: one per "
-                             "core, capped at the grid; 1 = inline)")
-    parser.add_argument("--json", metavar="PATH",
-                        default="resilience_autoscale_sweep.json",
-                        help="JSON artifact path ('' to skip)")
-    args = parser.parse_args(argv)
-    if args.duration <= 0:
-        parser.error("--duration must be positive")
-    if any(d < 1 for d in args.devices):
-        parser.error("--devices must be >= 1")
-    if args.load <= 0:
-        parser.error("--load must be positive")
-    try:
-        make_fault_process(args.faults)
-    except (ValueError, OSError) as exc:
-        parser.error(f"--faults: {exc}")
-    try:
-        make_retry_policy(args.retry)
-    except ValueError as exc:
-        parser.error(f"--retry: {exc}")
-    arrivals = [(spec.partition(":")[0], spec)
-                for spec in args.arrivals]
-
-    report = run_sweep(FabConfig(), mechanisms=DEFAULT_MECHANISMS,
-                       arrivals=arrivals, devices=args.devices,
-                       faults=args.faults, retry=args.retry,
-                       duration_s=args.duration,
-                       target_load=args.load, seed=args.seed,
-                       max_batch=args.max_batch, workers=args.workers)
-    print_result(report.to_experiment_result())
-    print("combined vs single mechanisms "
-          "(board-ms per deadline-met job):")
-    for row in report.headline()["combined_vs_single"]:
-        costs = row["costs"]
-        verdict = ("combined wins" if row["combined_wins"]
-                   else "combined does NOT win")
-        parts = ", ".join(
-            f"{name} {cost * 1e3:7.3f}"
-            for name, cost in sorted(costs.items()))
-        print(f"  {row['point']:>12s}: {parts}  ({verdict})")
-    if args.json:
-        report.save_json(args.json)
-        print(f"sweep written to {args.json}")
     return 0
 
 

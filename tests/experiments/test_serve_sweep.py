@@ -61,6 +61,11 @@ class TestSweep:
     def test_empty_grid_rejected(self, config):
         with pytest.raises(ValueError):
             run_sweep(config, devices=(), duration_s=0.1, workers=1)
+        # The shared sweep checks: same messages as every other sweep.
+        with pytest.raises(ValueError, match="^duration_s: must be positive$"):
+            run_sweep(config, duration_s=0, workers=1)
+        with pytest.raises(ValueError, match="^devices: must be >= 1$"):
+            run_sweep(config, devices=(0,), duration_s=0.1, workers=1)
 
     def test_json_artifact_round_trips(self, small_sweep, tmp_path):
         path = tmp_path / "sweep.json"

@@ -1,7 +1,8 @@
 """Malformed CLI specs die with one-line actionable errors.
 
 A typo in ``--arrivals``/``--policy``/``--faults``/``--retry`` must
-produce ``parser.error`` output (exit code 2, a single ``error:`` line
+produce ``parser.error`` output — from ``serve`` and from every sweep
+command alike (exit code 2, a single ``error:`` line
 naming the flag and what is accepted) — never a traceback.  The spec
 parsers themselves raise :class:`repro.runtime.SpecError` (a
 ``ValueError``), one shared vocabulary across arrivals, policies,
@@ -10,8 +11,10 @@ faults, and retries.
 
 import pytest
 
+from repro.__main__ import main as repro_main
+from repro.experiments.fault_sweep import main as run_fault_sweep
 from repro.runtime import SpecError, make_policy, make_process
-from repro.runtime.cli import run_fault_sweep, run_serve
+from repro.runtime.cli import run_serve
 from repro.runtime.specs import parse_spec_kwargs, take_spec_options
 
 
@@ -118,3 +121,20 @@ class TestFaultSweepCliErrors:
         with pytest.raises(SystemExit) as excinfo:
             run_fault_sweep(["--mtbfs", "-1"])
         _error_line(capsys, excinfo)
+
+
+SWEEP_COMMANDS = ("serve-sweep", "slo-sweep", "fault-sweep",
+                  "autoscale-sweep", "resilience-autoscale-sweep")
+
+
+class TestSweepCliErrors:
+    @pytest.mark.parametrize("spec", ("bogus", "replay:/missing.jsonl"))
+    @pytest.mark.parametrize("command", SWEEP_COMMANDS)
+    def test_bad_arrivals_spec_is_one_line(self, capsys, command, spec):
+        # Checked before any grid point runs: a spec typo or a missing
+        # replay file is a usage error, not a traceback mid-sweep.
+        with pytest.raises(SystemExit) as excinfo:
+            repro_main([command, "--arrivals", spec, "--workers", "1",
+                        "--json", ""])
+        line = _error_line(capsys, excinfo)
+        assert "--arrivals" in line
