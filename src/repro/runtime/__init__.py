@@ -35,8 +35,8 @@ the FAB performance model (:mod:`repro.core`):
 * :mod:`~repro.runtime.arrivals` — the arrival-process library both
   engines draw from: Poisson (seed-for-seed the historical default),
   diurnal curves, MMPP bursts, flash crowds, JSONL trace replay.
-* :mod:`~repro.runtime.stats` — streaming percentile estimators
-  (P-squared, bottom-k reservoir) for fleet-scale reports.
+* :mod:`~repro.runtime.stats` — the bottom-k reservoir percentile
+  estimator behind the fast engine's streaming opt-in.
 * :mod:`~repro.runtime.striped_lowering` — FAB-2 trace striping: shard
   one trace's batch dimension across the pool, schedule per-board
   lanes with CMAC gather/broadcast traffic.
@@ -76,7 +76,7 @@ from .serving import (ENGINES, ArrivalChunk, Job, JobClass, KeyCache,
                       percentile)
 from .serving_baseline import BaselineKeyCache, baseline_run
 from .specs import SpecError
-from .stats import LatencyAccumulator, P2Quantile, ReservoirQuantiles
+from .stats import ReservoirQuantiles
 from .striped_lowering import (BOARD_POLICIES, BoardStriper, StripePlan,
                                StripedCost, StripedProgram,
                                StripedReport, StripedTrace,
@@ -94,9 +94,9 @@ __all__ = [
     "FAULT_PROCESSES", "FaultProcess", "FaultSchedule",
     "FifoPolicy", "FlashCrowdProcess", "ImmediateRetry",
     "Job", "JobClass", "KeyCache",
-    "KeyWorkingSet", "LOWERING_MAP", "LatencyAccumulator",
+    "KeyWorkingSet", "LOWERING_MAP",
     "LoweredCost", "MMPPProcess", "NoRetry", "OpTrace",
-    "P2Quantile", "POLICIES", "PoissonFaultProcess", "PoissonProcess",
+    "POLICIES", "PoissonFaultProcess", "PoissonProcess",
     "PolicyContext", "PoolLedger", "PriceSignal",
     "PredictiveScalePolicy",
     "REFERENCE_TRACES", "RETRY_POLICIES", "RateCurveProcess",

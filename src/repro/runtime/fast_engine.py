@@ -30,10 +30,10 @@ oracle job for job:
   the engine falls back to the real per-key cache otherwise).
 * **Vectorized bookkeeping.**  Completion times are recorded as
   (batch size, finish) run-lengths per queue and expanded with
-  ``np.repeat`` at the end; latency percentiles, SLO attainment, and
-  per-tenant accounting are ``np.sort``/``np.bincount`` passes over
-  the full arrays (or reservoir estimators past 100k jobs per class,
-  see :mod:`repro.runtime.stats`) instead of per-job Python loops.
+  ``np.repeat`` at the end, and the per-job arrays go straight into
+  :func:`repro.runtime.serving.build_report` — the report builder the
+  DES shares — whose SLO and per-tenant accounting are
+  ``np.bincount`` passes rather than per-job Python loops.
 
 Service times, starts, finishes, busy time, and price-integrated cost
 are computed with the same floating-point expressions in the same
@@ -57,17 +57,9 @@ import numpy as np
 
 from ..obs import Recorder
 from .policies import POLICIES, PriceSignal
-from .serving import (KeyCache, Scenario, ServingReport,
-                      WorkloadStats, percentile)
-from .stats import ReservoirQuantiles
-
-#: Per-class job count above which the fast engine switches from exact
-#: latency percentiles to a reservoir estimator (when
-#: ``streaming_quantiles`` is left at ``None``).
-STREAMING_AUTO_THRESHOLD = 100_000
-
-#: Reservoir capacity for streaming percentile estimation.
-STREAMING_RESERVOIR = 8192
+from .serving import (DONE, REJECTED, STREAMING_AUTO_THRESHOLD,
+                      STREAMING_RESERVOIR, KeyCache, Scenario,
+                      ServingReport, build_report, key_load_seconds)
 
 
 class SetKeyCache:
@@ -203,7 +195,7 @@ class _QueueDomain:
 
 
 class _FastEngine:
-    """One fast-engine run: setup, event loop, report assembly."""
+    """One fast-engine run: setup, then the event loop."""
 
     def __init__(self, sim, scenario: Scenario, seed: int,
                  policy: str, price: PriceSignal,
@@ -255,6 +247,7 @@ class _FastEngine:
         self.s_name = [st.job_class.name for st in streams]
         self.s_secs = [st.job_class.seconds(config) for st in streams]
         self.s_nf = [st.job_class.num_fpgas for st in streams]
+        self.host = host
         self.launch_s = host.kernel_launch_overhead_s
         self.pcie_denom = host.pcie_gbytes_per_sec * 1e9
         self.pcie_lat = host.pcie_latency_s
@@ -433,7 +426,6 @@ class _FastEngine:
         nd = sim.num_devices
         self.dev_free = [0.0] * nd
         self.dev_busy = [0.0] * nd
-        self.dev_keyload = [0.0] * nd
         self.dev_jobs = [0] * nd
         if self.set_cache_ok:
             self.caches = [SetKeyCache(sim.key_cache_bytes,
@@ -450,15 +442,13 @@ class _FastEngine:
         # first _advance processes t=0 arrivals (trace replay).
         self.clock = -math.inf
         self.done = 0
-        self.batches = 0
-        self.batched_jobs = 0
-        self.cost = 0.0
-        self.makespan = 0.0
         self.rec_sizes: List[List[int]] = [[] for _ in range(nq)]
         self.rec_fin: List[List[float]] = [[] for _ in range(nq)]
+        #: Class names in first-dispatch / first-rejection order (the
+        #: report's class order).
         self.seen_classes: Dict[str, None] = {}
         self.rejected_ids: List[int] = []
-        self.rej_classes: Dict[str, int] = {}
+        self.rej_classes: Dict[str, None] = {}
         self.arrival_cursor = 0  # recorder job_arrival sweep
         #: Deferral-event count at the top of the current
         #: ``_next_batch`` call (the DW held-back baseline).
@@ -556,7 +546,7 @@ class _FastEngine:
             self._note_held_back(jid, events_at_entry)
         self.rejected_ids.append(jid)
         name = self.q_name[qid]
-        self.rej_classes[name] = self.rej_classes.get(name, 0) + 1
+        self.rej_classes.setdefault(name)
         self.rec_sizes[qid].append(1)
         self.rec_fin[qid].append(math.nan)
         if self.rec is not None:
@@ -578,32 +568,23 @@ class _FastEngine:
         free = max((self.dev_free[i] for _, i in extra), default=now)
         return max(now, free)
 
-    def _load_seconds(self, miss_bytes: int) -> float:
-        if miss_bytes == 0:
-            return 0.0
-        return miss_bytes / self.pcie_denom + self.pcie_lat
-
     def _load_preview(self, dev: int, qid: int, s: int,
                       nf: int) -> float:
         tid = self.q_tid[qid]
-        caches = self.caches
+        if self.set_cache_ok:
+            tenant, keys = tid, self.s_setid[s]
+        else:
+            tenant, keys = self.tenant_names[tid], self.s_class[s]
+        caches, host = self.caches, self.host
         if nf <= 1:
-            if self.set_cache_ok:
-                return self._load_seconds(caches[dev].peek_miss_bytes(
-                    tid, self.s_setid[s]))
-            return self._load_seconds(caches[dev].peek_miss_bytes(
-                self.tenant_names[tid], self.s_class[s]))
+            return key_load_seconds(
+                host, caches[dev].peek_miss_bytes(tenant, keys))
         members = [dev]
         members += [i for _, i in
                     heapq.nsmallest(nf - 1, self.free_heap)]
-        if self.set_cache_ok:
-            sid = self.s_setid[s]
-            return max(self._load_seconds(
-                caches[m].peek_miss_bytes(tid, sid)) for m in members)
-        tenant = self.tenant_names[tid]
-        jc = self.s_class[s]
-        return max(self._load_seconds(
-            caches[m].peek_miss_bytes(tenant, jc)) for m in members)
+        return max(key_load_seconds(
+            host, caches[m].peek_miss_bytes(tenant, keys))
+            for m in members)
 
     def _edf_admit(self, dom: _QueueDomain, now: float, dev: int,
                    urgent_only: bool = False,
@@ -801,7 +782,6 @@ class _FastEngine:
         n = self.n
         dev_free = self.dev_free
         dev_busy = self.dev_busy
-        dev_keyload = self.dev_keyload
         launch = self.launch_s
         denom = self.pcie_denom
         pcie_lat = self.pcie_lat
@@ -879,12 +859,12 @@ class _FastEngine:
             tid = q_tid[qid]
             load_s = 0.0
             member_loads = [] if rec is not None else None
+            # key_load_seconds inlined (same arithmetic): per-batch hot path.
             if set_mode:
                 sid = s_setid[s]
                 for di in gang:
                     miss = caches[di].request(tid, sid)
                     load = miss / denom + pcie_lat if miss else 0.0
-                    dev_keyload[di] += load
                     if member_loads is not None:
                         member_loads.append((di, load, miss))
                     if load > load_s:
@@ -895,7 +875,6 @@ class _FastEngine:
                 for di in gang:
                     miss = caches[di].request(tenant, jc)
                     load = miss / denom + pcie_lat if miss else 0.0
-                    dev_keyload[di] += load
                     if member_loads is not None:
                         member_loads.append((di, load, miss))
                     if load > load_s:
@@ -935,150 +914,38 @@ class _FastEngine:
                                       for di in gang),
                     slo_met=slo_met, slo_total=slo_total,
                     cost=batch_cost)
-        self.makespan = makespan
-        self.cost = cost
-        self.batches = batches
-        self.batched_jobs = batched_jobs
         if rec is not None:
             rec.run_end(makespan_s=makespan,
                         device_busy_s=tuple(dev_busy),
                         jobs_done=n - len(self.rejected_ids))
-        return self._report()
-
-    # ------------------------------------------------------------------
-    # report assembly
-    # ------------------------------------------------------------------
-
-    def _report(self) -> ServingReport:
-        n = self.n
-        finish_all = np.full(n, math.nan)
-        for qid in range(len(self.q_name)):
-            sizes = self.rec_sizes[qid]
+        finish_s = np.full(n, math.nan)
+        for qid, sizes in enumerate(rec_sizes):
             if sizes:
                 # Run-length expansion: batch k's finish applies to
                 # the next `size` jobs of the queue; rejected heads
                 # were recorded as (1, NaN).
-                finish_all[self.q_jobs_np[qid]] = np.repeat(
-                    np.asarray(self.rec_fin[qid]),
+                finish_s[self.q_jobs_np[qid]] = np.repeat(
+                    np.asarray(rec_fin[qid]),
                     np.asarray(sizes, dtype=np.int64))
-        completed_mask = ~np.isnan(finish_all)
-        lat_np = finish_all - self.arr_np
-        makespan = self.makespan
-        names = list(self.seen_classes)
-        rid_of = {name: rid for rid, name in enumerate(names)}
-        rid_stream = np.asarray(
-            [rid_of.get(nm, -1) for nm in self.s_name], dtype=np.int64)
-        rid_job = (rid_stream[self.stream_np] if n
-                   else np.empty(0, dtype=np.int64))
-        nclasses = len(names)
-        # SLO accounting: completed deadline-carrying jobs first...
-        has_dl = np.isfinite(self.dead_np)
-        cm_idx = np.nonzero(completed_mask & has_dl)[0]
-        met_idx = cm_idx[finish_all[cm_idx] <= self.dead_np[cm_idx]]
-        slo_met: Dict[str, int] = {}
-        slo_total: Dict[str, int] = {}
-        tenant_met: Dict[str, int] = {}
-        tenant_total: Dict[str, int] = {}
-        if cm_idx.size:
-            tot_c = np.bincount(rid_job[cm_idx], minlength=nclasses)
-            met_c = np.bincount(rid_job[met_idx], minlength=nclasses)
-            for rid, name in enumerate(names):
-                if tot_c[rid]:
-                    slo_total[name] = int(tot_c[rid])
-                    slo_met[name] = int(met_c[rid])
-            ntenants = len(self.tenant_names)
-            tot_t = np.bincount(self.tid_np[cm_idx],
-                                minlength=ntenants)
-            met_t = np.bincount(self.tid_np[met_idx],
-                                minlength=ntenants)
-            for tid, tname in enumerate(self.tenant_names):
-                if tot_t[tid]:
-                    tenant_total[tname] = int(tot_t[tid])
-                    tenant_met[tname] = int(met_t[tid])
-        # ... then every rejected job joins the denominators.
-        for jid in self.rejected_ids:
-            name = self.s_name[self.stream_np[jid]]
-            slo_total[name] = slo_total.get(name, 0) + 1
-            slo_met.setdefault(name, 0)
-            tname = self.tenant_names[int(self.tid_np[jid])]
-            tenant_total[tname] = tenant_total.get(tname, 0) + 1
-            tenant_met.setdefault(tname, 0)
-        stats: List[WorkloadStats] = []
-        for rid, name in enumerate(names):
-            lat_cls = lat_np[completed_mask & (rid_job == rid)]
-            count = int(lat_cls.size)
-            streaming = (self.streaming is True
-                         or (self.streaming == "auto"
-                             and count > STREAMING_AUTO_THRESHOLD))
-            if streaming:
-                reservoir = ReservoirQuantiles(STREAMING_RESERVOIR,
-                                               seed=0)
-                reservoir.add_array(lat_cls)
-                p50 = reservoir.quantile(0.50) * 1e3
-                p95 = reservoir.quantile(0.95) * 1e3
-                p99 = reservoir.quantile(0.99) * 1e3
-                mean = float(np.sum(lat_cls)) / count * 1e3
-            else:
-                # Sequential sum over the sorted list reproduces the
-                # DES mean bit for bit (numpy's pairwise summation
-                # would drift in the last ulp).
-                ordered = np.sort(lat_cls).tolist()
-                p50 = percentile(ordered, 50) * 1e3
-                p95 = percentile(ordered, 95) * 1e3
-                p99 = percentile(ordered, 99) * 1e3
-                mean = sum(ordered) / count * 1e3
-            stats.append(WorkloadStats(
-                name=name, jobs=count,
-                throughput_jps=count / makespan if makespan else 0.0,
-                p50_ms=p50, p95_ms=p95, p99_ms=p99, mean_ms=mean,
-                slo_attainment=(slo_met[name] / slo_total[name]
-                                if slo_total.get(name) else None),
-                rejected=self.rej_classes.get(name, 0)))
-        # A class may be rejected out of existence: report it anyway.
-        for name, dropped in self.rej_classes.items():
-            if name not in rid_of:
-                stats.append(WorkloadStats(
-                    name=name, jobs=0, throughput_jps=0.0,
-                    p50_ms=float("nan"), p95_ms=float("nan"),
-                    p99_ms=float("nan"), mean_ms=float("nan"),
-                    slo_attainment=0.0, rejected=dropped))
-        busy = sum(self.dev_busy)
-        hits = sum(c.hits for c in self.caches)
-        misses = sum(c.misses for c in self.caches)
-        total_slo = sum(slo_total.values())
-        num_devices = self.sim.num_devices
-        # Goodput mirrors the DES count of completed jobs with
-        # ``finish <= effective deadline`` — a job without a deadline
-        # (dead_np inf) always counts, so the integer numerator (and
-        # hence the division) is bit-identical across engines.
-        good = int((completed_mask & ~has_dl).sum()) + int(met_idx.size)
-        return ServingReport(
-            scenario=self.scenario.name,
-            makespan_s=makespan,
-            jobs_done=n - len(self.rejected_ids),
-            per_workload=stats,
-            device_utilization=(busy / (makespan * num_devices)
-                                if makespan else 0.0),
-            key_hit_rate=(hits / (hits + misses)
-                          if hits + misses else 0.0),
-            key_bytes_loaded=sum(c.bytes_loaded for c in self.caches),
-            batches=self.batches,
-            mean_batch_size=(self.batched_jobs / self.batches
-                             if self.batches else 0.0),
-            per_device_jobs=tuple(self.dev_jobs),
-            policy=self.policy_name,
-            rejected_jobs=len(self.rejected_ids),
+        status = np.full(n, DONE, dtype=np.int8)
+        status[self.rejected_ids] = REJECTED
+        # Report order: first dispatch, then rejected-only classes,
+        # then classes that never ran (omitted from the report).
+        names = list(dict.fromkeys(
+            [*seen, *self.rej_classes, *self.s_name]))
+        class_of_stream = np.asarray(
+            [names.index(name) for name in self.s_name], dtype=np.int64)
+        return build_report(
+            self.scenario.name,
+            arrival_s=self.arr_np, finish_s=finish_s,
+            deadline_s=self.dead_np, status=status,
+            class_index=class_of_stream[stream_np], class_names=names,
+            tenant_index=self.tid_np, tenant_names=self.tenant_names,
+            device_busy_s=dev_busy, device_jobs=self.dev_jobs,
+            caches=caches, batches=batches, batched_jobs=batched_jobs,
+            cost_price_units=cost, policy=self.policy_name,
             deferred_jobs=self.deferred_count,
-            cost_price_units=self.cost,
-            slo_attainment=(sum(slo_met.values()) / total_slo
-                            if total_slo else None),
-            per_tenant_slo=tuple(
-                (tname, tenant_met[tname] / tenant_total[tname])
-                for tname in sorted(tenant_total)),
-            goodput_jps=good / makespan if makespan else 0.0,
-            # Fixed pool: every board is paid for the whole run, the
-            # same expression the DES report uses (parity-compared).
-            board_seconds=makespan * num_devices)
+            streaming_quantiles=self.streaming)
 
 
 def run_fast(sim, scenario: Scenario, seed: int = 0,
@@ -1086,22 +953,15 @@ def run_fast(sim, scenario: Scenario, seed: int = 0,
              price: Optional[PriceSignal] = None,
              recorder: Optional[Recorder] = None,
              arrival_mode: str = "exact",
-             streaming_quantiles: Optional[bool] = None,
-             faults=None) -> ServingReport:
+             streaming_quantiles: Optional[bool] = None) -> ServingReport:
     """Run ``scenario`` through the vectorized engine.
 
     Same contract as :meth:`ServingSimulator.run` with
     ``engine="fast"`` (which is the intended entry point); see the
-    module docstring for the equivalence guarantees.
-
-    The fast engine is strictly fault-free: it is the parity oracle
-    the fault-disabled DES is held to, so ``faults`` must be ``None``
-    (fault injection lives in :mod:`repro.runtime.faults`, DES-only).
+    module docstring for the equivalence guarantees.  The engine is
+    fault-free: fault injection lives in :mod:`repro.runtime.faults`,
+    DES-only.
     """
-    if faults is not None:
-        raise ValueError(
-            "the fast engine does not support fault injection; "
-            "run faults with engine='des'")
     if price is None:
         price = PriceSignal.flat()
     engine = _FastEngine(sim, scenario, seed, policy, price, recorder,

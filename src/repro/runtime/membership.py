@@ -77,6 +77,7 @@ from .serving import (
     Scenario,
     ServingReport,
     key_load_seconds,
+    report_from_jobs,
 )
 from .striped_lowering import largest_viable_stripe
 
@@ -877,7 +878,6 @@ def run_with_ledger(
                 for member in gang:
                     miss_bytes = member.cache.request(batch[0].tenant, job_class)
                     member_load_s = key_load_seconds(sim.host, miss_bytes)
-                    member.key_load_s += member_load_s
                     ledger.warmed(member.index)
                     if member_loads is not None:
                         member_loads.append((member.index, member_load_s, miss_bytes))
@@ -915,7 +915,6 @@ def run_with_ledger(
         for member in gang:
             miss_bytes = member.cache.request(batch[0].tenant, job_class)
             member_load_s = key_load_seconds(sim.host, miss_bytes)
-            member.key_load_s += member_load_s
             if evicts:
                 ledger.warmed(member.index)
             if member_loads is not None:
@@ -991,12 +990,12 @@ def run_with_ledger(
             scale_downs=scale_downs,
             board_seconds=board_seconds,
         )
-    return sim._report(
+    return report_from_jobs(
         scenario,
         completed,
         devices,
-        batches,
-        batched_jobs,
+        batches=batches,
+        batched_jobs=batched_jobs,
         policy=policy.name,
         rejected=rejected,
         deferred_jobs=policy.deferred_jobs,

@@ -32,7 +32,8 @@ serving streams of traced jobs:
   XRT launch overhead and the key loads — the serving-level analogue
   of the paper's intra-op prefetching.
 * **Metrics**: per-workload throughput and p50/p95/p99 latency, device
-  utilization, and key-cache hit rates.
+  utilization, and key-cache hit rates, assembled from per-job outcome
+  columns by one builder (:func:`build_report`) that both engines use.
 
 The simulator is deterministic for a given scenario seed, which the
 test suite relies on.
@@ -44,7 +45,9 @@ import math
 import random
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import chain, repeat
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -58,6 +61,7 @@ from .arrivals import ArrivalProcess, PoissonProcess, make_process
 from .lowering import cost_trace
 from .optrace import OpTrace
 from .policies import PriceSignal
+from .stats import ReservoirQuantiles
 
 #: Engines selectable in :meth:`ServingSimulator.run`: the exact DES
 #: (bit-identical to the preserved baseline under fifo) and the
@@ -302,32 +306,14 @@ class Scenario:
     def generate(self, seed: int = 0) -> List[Job]:
         """Draw the job arrivals (deterministic per seed).
 
-        Each stream draws from its arrival process (homogeneous
-        Poisson by default) on one shared RNG, in stream order; for
-        default streams the draw sequence is bit-identical to the
-        historical inlined Poisson loop, which the regression suite
-        asserts seed-for-seed.
+        The exact-mode :meth:`arrivals` chunks, materialized as
+        :class:`Job` objects: each stream draws from its arrival
+        process (homogeneous Poisson by default) on one shared RNG, in
+        stream order; for default streams the draw sequence is
+        bit-identical to the historical inlined Poisson loop, which the
+        regression suite asserts seed-for-seed.
         """
-        rng = random.Random(seed)
-        jobs: List[Job] = []
-        for stream in self.streams:
-            process = stream.arrival_process()
-            for t in process.iter_times(rng, stream.start_s,
-                                        self.duration_s):
-                tenant = (f"{stream.tenant_prefix}"
-                          f"{rng.randrange(stream.num_tenants)}")
-                jobs.append(Job(
-                    0, stream.job_class, tenant, t,
-                    deadline_s=(t + stream.slo_ms / 1e3
-                                if stream.slo_ms is not None else None),
-                    window_end_s=(t + stream.window_s
-                                  if stream.window_s is not None
-                                  else None),
-                    deferrable=stream.deferrable))
-        jobs.sort(key=lambda j: j.arrival_s)
-        for i, job in enumerate(jobs):
-            job.job_id = i
-        return jobs
+        return self.jobs_from_arrivals(self.arrivals(seed, mode="exact"))
 
     def arrivals(self, seed: int = 0, chunk_jobs: int = 65536,
                  mode: str = "exact") -> Iterator[ArrivalChunk]:
@@ -336,9 +322,8 @@ class Scenario:
         The fast engine's input path: no per-job Python objects are
         materialized, only numpy arrays (``chunk_jobs`` rows at a
         time, globally sorted by arrival).  ``mode="exact"`` draws
-        from the same :class:`random.Random` sequence as
-        :meth:`generate` — chunk rows equal the generated jobs
-        field-for-field (regression-tested) — so both engines can
+        from one seeded :class:`random.Random` — the sequence
+        :meth:`generate` materializes as jobs — so both engines can
         share one arrival sequence.  ``mode="vectorized"`` draws the
         same processes from a :class:`numpy.random.Generator` in
         numpy batches, ~10x faster at million-job scale but a
@@ -398,24 +383,25 @@ class Scenario:
     def jobs_from_arrivals(
             self, chunks: Iterator[ArrivalChunk]) -> List[Job]:
         """Materialize :class:`Job` objects from :meth:`arrivals`
-        chunks (the regression tests' bridge between the two
-        generation paths)."""
+        chunks (how :meth:`generate` builds the DES's job list)."""
+        per_stream = [(st.job_class, st.tenant_prefix,
+                       None if st.slo_ms is None else st.slo_ms / 1e3,
+                       st.window_s, st.deferrable)
+                      for st in self.streams]
         jobs: List[Job] = []
         for chunk in chunks:
-            for offset in range(len(chunk)):
-                stream = self.streams[int(chunk.stream_index[offset])]
-                t = float(chunk.arrival_s[offset])
-                tenant = (f"{stream.tenant_prefix}"
-                          f"{int(chunk.tenant_index[offset])}")
+            rows = zip(chunk.arrival_s.tolist(),
+                       chunk.stream_index.tolist(),
+                       chunk.tenant_index.tolist())
+            for job_id, (t, s, tenant) in enumerate(rows, chunk.start_id):
+                job_class, prefix, slo_s, window_s, deferrable = \
+                    per_stream[s]
                 jobs.append(Job(
-                    chunk.start_id + offset, stream.job_class, tenant,
-                    t,
-                    deadline_s=(t + stream.slo_ms / 1e3
-                                if stream.slo_ms is not None else None),
-                    window_end_s=(t + stream.window_s
-                                  if stream.window_s is not None
-                                  else None),
-                    deferrable=stream.deferrable))
+                    job_id, job_class, f"{prefix}{tenant}", t,
+                    deadline_s=None if slo_s is None else t + slo_s,
+                    window_end_s=(None if window_s is None
+                                  else t + window_s),
+                    deferrable=deferrable))
         return jobs
 
     def with_arrivals(self, spec: str) -> "Scenario":
@@ -544,7 +530,6 @@ class DeviceState:
     cache: KeyCache
     free_at_s: float = 0.0
     busy_s: float = 0.0
-    key_load_s: float = 0.0
     jobs_done: int = 0
 
 
@@ -755,6 +740,205 @@ class ServingReport:
             notes=notes)
 
 
+#: Per-class job count above which ``streaming_quantiles="auto"``
+#: switches from exact latency percentiles to a reservoir estimator.
+STREAMING_AUTO_THRESHOLD = 100_000
+
+#: Reservoir capacity for streaming percentile estimation.
+STREAMING_RESERVOIR = 8192
+
+#: Job outcome codes: the ``status`` column of :func:`build_report`.
+#: ``DEGRADED`` completed on a smaller-than-planned gang;
+#: ``SHED_DEGRADED`` was shed because no viable smaller gang existed.
+DONE, DEGRADED, REJECTED, SHED, SHED_DEGRADED = range(5)
+
+
+def _latency_ms(latencies: np.ndarray, streaming_quantiles
+                ) -> Tuple[float, float, float, float]:
+    """``(p50, p95, p99, mean)`` of one class's latencies, in ms
+    (sorts ``latencies`` in place)."""
+    count = latencies.size
+    if count == 0:
+        return (math.nan,) * 4
+    if streaming_quantiles is True or (
+            streaming_quantiles == "auto"
+            and count > STREAMING_AUTO_THRESHOLD):
+        reservoir = ReservoirQuantiles(STREAMING_RESERVOIR, seed=0)
+        reservoir.add_array(latencies)
+        return (reservoir.quantile(0.50) * 1e3,
+                reservoir.quantile(0.95) * 1e3,
+                reservoir.quantile(0.99) * 1e3,
+                float(np.sum(latencies)) / count * 1e3)
+    # A sequential sum over the sorted list keeps the mean bit-stable
+    # (numpy's pairwise summation would drift in the last ulp).
+    latencies.sort()
+    ordered = latencies.tolist()
+    return (percentile(ordered, 50) * 1e3, percentile(ordered, 95) * 1e3,
+            percentile(ordered, 99) * 1e3, sum(ordered) / count * 1e3)
+
+
+def build_report(scenario: str, *,
+                 arrival_s: np.ndarray, finish_s: np.ndarray,
+                 deadline_s: np.ndarray, status: np.ndarray,
+                 class_index: np.ndarray, class_names: Sequence[str],
+                 tenant_index: np.ndarray, tenant_names: Sequence[str],
+                 device_busy_s: Sequence[float],
+                 device_jobs: Sequence[int], caches: Sequence,
+                 batches: int, batched_jobs: int,
+                 cost_price_units: float,
+                 retries: Optional[np.ndarray] = None,
+                 policy: str = "fifo", deferred_jobs: int = 0,
+                 board_seconds: Optional[float] = None,
+                 streaming_quantiles=None,
+                 **counters) -> ServingReport:
+    """Assemble a :class:`ServingReport` from per-job outcome columns.
+
+    The one place the report rules live: both engines hand their
+    outcomes here.  Each column has one row per job that left the
+    system:
+
+    * ``arrival_s`` and ``finish_s`` (NaN if the job never completed);
+    * ``deadline_s``, the effective deadline (``inf`` when none);
+    * ``status``, an outcome code (:data:`DONE` ...
+      :data:`SHED_DEGRADED`);
+    * ``class_index`` / ``tenant_index``, positions in
+      ``class_names`` / ``tenant_names``;
+    * ``retries``, re-enqueues per job (``None``: nothing retried).
+
+    ``class_names`` is also the report order.  A class is reported
+    only if it completed a job or had one rejected; the engines list
+    classes by first completion in dispatch order, then rejected-only
+    classes by first rejection.  Every rejected job and every
+    deadline-carrying job that completed or was shed is in the SLO
+    denominators (shedding never launders attainment); only completed
+    jobs that met their deadline count as met.  Goodput counts every
+    completed job that met its effective deadline.
+
+    The run totals are per-device busy seconds and credited jobs, the
+    device key caches (hit/miss/byte counters), batch counts, and the
+    price-integrated cost.  ``board_seconds`` defaults to a fixed
+    pool's ``makespan * devices``; ``streaming_quantiles`` is the fast
+    engine's reservoir opt-in (``True`` or ``"auto"``); ``counters``
+    (fault and autoscale counts) are copied onto the report.
+    """
+    done = ~np.isnan(finish_s)
+    makespan = float(np.max(finish_s, where=done, initial=0.0))
+    rejected = status == REJECTED
+    met = finish_s <= deadline_s  # NaN (never completed) compares False
+    has_dl = np.isfinite(deadline_s)
+    in_slo = has_dl | rejected
+    met_slo = met & has_dl
+
+    def count(mask: np.ndarray) -> int:
+        return int(np.count_nonzero(mask))
+
+    def tally(mask: np.ndarray, index: np.ndarray, size: int) -> List[int]:
+        return np.bincount(index[mask], minlength=size).tolist()
+
+    n_classes = len(class_names)
+    done_c = tally(done, class_index, n_classes)
+    rejected_c = tally(rejected, class_index, n_classes)
+    slo_c = tally(in_slo, class_index, n_classes)
+    met_c = tally(met_slo, class_index, n_classes)
+    stats = []
+    for c, name in enumerate(class_names):
+        jobs = done_c[c]
+        if not jobs and not rejected_c[c]:
+            continue
+        mine = done & (class_index == c)
+        p50, p95, p99, mean = _latency_ms(
+            finish_s[mine] - arrival_s[mine], streaming_quantiles)
+        stats.append(WorkloadStats(
+            name=name, jobs=jobs,
+            throughput_jps=jobs / makespan if makespan else 0.0,
+            p50_ms=p50, p95_ms=p95, p99_ms=p99, mean_ms=mean,
+            slo_attainment=met_c[c] / slo_c[c] if slo_c[c] else None,
+            rejected=rejected_c[c]))
+    slo_t = tally(in_slo, tenant_index, len(tenant_names))
+    met_t = tally(met_slo, tenant_index, len(tenant_names))
+    busy = sum(device_busy_s)
+    hits = sum(cache.hits for cache in caches)
+    misses = sum(cache.misses for cache in caches)
+    total_slo = count(in_slo)
+    num_devices = len(device_busy_s)
+    return ServingReport(
+        scenario=scenario,
+        makespan_s=makespan,
+        jobs_done=count(done),
+        per_workload=stats,
+        device_utilization=(busy / (makespan * num_devices)
+                            if makespan else 0.0),
+        key_hit_rate=hits / (hits + misses) if hits + misses else 0.0,
+        key_bytes_loaded=sum(cache.bytes_loaded for cache in caches),
+        batches=batches,
+        mean_batch_size=batched_jobs / batches if batches else 0.0,
+        per_device_jobs=tuple(device_jobs),
+        policy=policy,
+        rejected_jobs=count(rejected),
+        deferred_jobs=deferred_jobs,
+        cost_price_units=cost_price_units,
+        slo_attainment=(count(met_slo) / total_slo
+                        if total_slo else None),
+        per_tenant_slo=tuple(sorted(
+            (tenant, met_t[t] / slo_t[t])
+            for t, tenant in enumerate(tenant_names) if slo_t[t])),
+        goodput_jps=count(met) / makespan if makespan else 0.0,
+        retries=int(retries.sum()) if retries is not None else 0,
+        shed_jobs=count(status == SHED),
+        shed_degraded=count(status == SHED_DEGRADED),
+        degraded_jobs=count(status == DEGRADED),
+        board_seconds=(makespan * num_devices if board_seconds is None
+                       else board_seconds),
+        **counters)
+
+
+def report_from_jobs(scenario: Scenario, completed: Sequence[Job],
+                     devices: Sequence[DeviceState],
+                     rejected: Sequence[Job] = (),
+                     shed: Sequence[Job] = (),
+                     **totals) -> ServingReport:
+    """:func:`build_report` over the DES's job lists and devices.
+
+    ``completed`` is in dispatch order and ``rejected`` in rejection
+    order, which fixes the report's class order; ``totals`` are
+    :func:`build_report`'s remaining keyword arguments.
+    """
+    n = len(completed) + len(rejected) + len(shed)
+
+    def column(values: Iterable, dtype=np.float64) -> np.ndarray:
+        return np.fromiter(values, dtype, count=n)
+
+    def jobs() -> Iterator[Job]:
+        return chain(completed, rejected, shed)
+
+    class_ids: Dict[str, int] = {}
+    class_index = column((class_ids.setdefault(job.job_class.name,
+                                               len(class_ids))
+                          for job in jobs()), np.int32)
+    tenant_ids: Dict[str, int] = {}
+    tenant_index = column((tenant_ids.setdefault(job.tenant,
+                                                 len(tenant_ids))
+                           for job in jobs()), np.int32)
+    return build_report(
+        scenario.name,
+        arrival_s=column(job.arrival_s for job in jobs()),
+        finish_s=column(chain((job.finish_s for job in completed),
+                              repeat(math.nan, n - len(completed)))),
+        deadline_s=column(job.effective_deadline_s for job in jobs()),
+        status=column(chain(
+            (DEGRADED if job.degraded else DONE for job in completed),
+            repeat(REJECTED, len(rejected)),
+            (SHED_DEGRADED if job.shed_reason == "degraded" else SHED
+             for job in shed)), np.int8),
+        class_index=class_index, class_names=list(class_ids),
+        tenant_index=tenant_index, tenant_names=list(tenant_ids),
+        retries=column((job.retries for job in jobs()), np.int32),
+        device_busy_s=[d.busy_s for d in devices],
+        device_jobs=[d.jobs_done for d in devices],
+        caches=[d.cache for d in devices],
+        **totals)
+
+
 # ----------------------------------------------------------------------
 # The simulator
 # ----------------------------------------------------------------------
@@ -801,10 +985,6 @@ class ServingSimulator:
 
     # ------------------------------------------------------------------
 
-    def _key_load_seconds(self, miss_bytes: int) -> float:
-        """Host -> HBM switching-key transfer over PCIe."""
-        return key_load_seconds(self.host, miss_bytes)
-
     def service_bound_s(self, job_class: JobClass,
                         batch_size: int) -> float:
         """Conservative upper bound on one batch's service time.
@@ -816,7 +996,7 @@ class ServingSimulator:
         an admitted batch can only finish earlier than predicted.
         """
         return (self.host.kernel_launch_overhead_s
-                + self._key_load_seconds(job_class.key_bytes)
+                + key_load_seconds(self.host, job_class.key_bytes)
                 + batch_size * job_class.seconds(self.config))
 
     def best_case_service_s(self, job_class: JobClass,
@@ -940,135 +1120,6 @@ class ServingSimulator:
             self, scenario, seed=seed, policy=policy, price=price,
             recorder=recorder, faults=faults, retry=retry,
             autoscale=autoscale)
-
-    # ------------------------------------------------------------------
-
-    def _report(self, scenario: Scenario, completed: List[Job],
-                devices: List[DeviceState], batches: int,
-                batched_jobs: int, policy: str = "fifo",
-                rejected: Sequence[Job] = (),
-                deferred_jobs: int = 0,
-                cost_price_units: Optional[float] = None,
-                shed: Sequence[Job] = (),
-                board_faults: int = 0,
-                failures: int = 0,
-                wasted_service_s: float = 0.0,
-                resize_events: int = 0,
-                scale_ups: int = 0,
-                scale_downs: int = 0,
-                board_seconds: Optional[float] = None
-                ) -> ServingReport:
-        makespan = max((j.finish_s or 0.0 for j in completed), default=0.0)
-        per_class: Dict[str, List[float]] = {}
-        for job in completed:
-            per_class.setdefault(job.job_class.name, []).append(
-                job.latency_s)
-        # SLO accounting: every deadline-carrying job — completed or
-        # rejected — counts in the denominator; only completed jobs
-        # that finished by their effective deadline count as met.
-        slo_met: Dict[str, int] = {}
-        slo_total: Dict[str, int] = {}
-        tenant_met: Dict[str, int] = {}
-        tenant_total: Dict[str, int] = {}
-        rejected_per_class: Dict[str, int] = {}
-        for job in completed:
-            deadline = job.effective_deadline_s
-            if deadline != math.inf:
-                name = job.job_class.name
-                met = int(job.finish_s <= deadline)
-                slo_met[name] = slo_met.get(name, 0) + met
-                slo_total[name] = slo_total.get(name, 0) + 1
-                tenant_met[job.tenant] = (
-                    tenant_met.get(job.tenant, 0) + met)
-                tenant_total[job.tenant] = (
-                    tenant_total.get(job.tenant, 0) + 1)
-        for job in rejected:
-            name = job.job_class.name
-            rejected_per_class[name] = rejected_per_class.get(name, 0) + 1
-            slo_total[name] = slo_total.get(name, 0) + 1
-            slo_met.setdefault(name, 0)
-            tenant_total[job.tenant] = tenant_total.get(job.tenant, 0) + 1
-            tenant_met.setdefault(job.tenant, 0)
-        # Shed jobs (fault recovery gave up on them) are SLO misses
-        # for every deadline they carried — shedding must never
-        # launder an attainment number.
-        for job in shed:
-            if job.effective_deadline_s != math.inf:
-                name = job.job_class.name
-                slo_total[name] = slo_total.get(name, 0) + 1
-                slo_met.setdefault(name, 0)
-                tenant_total[job.tenant] = (
-                    tenant_total.get(job.tenant, 0) + 1)
-                tenant_met.setdefault(job.tenant, 0)
-        stats = []
-        for name, latencies in per_class.items():
-            latencies.sort()
-            count = len(latencies)
-            stats.append(WorkloadStats(
-                name=name, jobs=count,
-                throughput_jps=count / makespan if makespan else 0.0,
-                p50_ms=percentile(latencies, 50) * 1e3,
-                p95_ms=percentile(latencies, 95) * 1e3,
-                p99_ms=percentile(latencies, 99) * 1e3,
-                mean_ms=sum(latencies) / count * 1e3,
-                slo_attainment=(slo_met[name] / slo_total[name]
-                                if slo_total.get(name) else None),
-                rejected=rejected_per_class.get(name, 0)))
-        # A class may be rejected out of existence: report it anyway.
-        for name, dropped in rejected_per_class.items():
-            if name not in per_class:
-                stats.append(WorkloadStats(
-                    name=name, jobs=0, throughput_jps=0.0,
-                    p50_ms=float("nan"), p95_ms=float("nan"),
-                    p99_ms=float("nan"), mean_ms=float("nan"),
-                    slo_attainment=0.0, rejected=dropped))
-        busy = sum(d.busy_s for d in devices)
-        hits = sum(d.cache.hits for d in devices)
-        misses = sum(d.cache.misses for d in devices)
-        total_slo = sum(slo_total.values())
-        good = sum(1 for job in completed
-                   if job.finish_s <= job.effective_deadline_s)
-        return ServingReport(
-            scenario=scenario.name,
-            makespan_s=makespan,
-            jobs_done=len(completed),
-            per_workload=stats,
-            device_utilization=(busy / (makespan * len(devices))
-                                if makespan else 0.0),
-            key_hit_rate=hits / (hits + misses) if hits + misses else 0.0,
-            key_bytes_loaded=sum(d.cache.bytes_loaded for d in devices),
-            batches=batches,
-            mean_batch_size=batched_jobs / batches if batches else 0.0,
-            per_device_jobs=tuple(d.jobs_done for d in devices),
-            policy=policy,
-            rejected_jobs=len(rejected),
-            deferred_jobs=deferred_jobs,
-            cost_price_units=(busy if cost_price_units is None
-                              else cost_price_units),
-            slo_attainment=(sum(slo_met.values()) / total_slo
-                            if total_slo else None),
-            per_tenant_slo=tuple(
-                (tenant, tenant_met[tenant] / tenant_total[tenant])
-                for tenant in sorted(tenant_total)),
-            goodput_jps=good / makespan if makespan else 0.0,
-            board_faults=board_faults,
-            failures=failures,
-            retries=(sum(job.retries for job in completed)
-                     + sum(job.retries for job in shed)
-                     + sum(job.retries for job in rejected)),
-            shed_jobs=sum(1 for job in shed
-                          if job.shed_reason != "degraded"),
-            shed_degraded=sum(1 for job in shed
-                              if job.shed_reason == "degraded"),
-            degraded_jobs=sum(1 for job in completed if job.degraded),
-            wasted_service_s=wasted_service_s,
-            resize_events=resize_events,
-            scale_ups=scale_ups,
-            scale_downs=scale_downs,
-            # A fixed pool pays every board for the whole run; the
-            # autoscale loop passes its exact provisioned integral.
-            board_seconds=(makespan * len(devices)
-                           if board_seconds is None else board_seconds))
 
 
 # ----------------------------------------------------------------------

@@ -39,7 +39,7 @@ from typing import Dict, List, Optional, Tuple
 from ..obs import Recorder
 from .policies import PriceSignal
 from .serving import (DeviceState, JobClass, Scenario, ServingReport,
-                      ServingSimulator)
+                      ServingSimulator, key_load_seconds, report_from_jobs)
 
 
 class BaselineKeyCache:
@@ -177,7 +177,7 @@ def baseline_run(simulator: ServingSimulator, scenario: Scenario,
         device = devices[device_index]
         miss_bytes = device.cache.request(batch[0].tenant,
                                           batch[0].job_class)
-        load_s = simulator._key_load_seconds(miss_bytes)
+        load_s = key_load_seconds(simulator.host, miss_bytes)
         compute_s = len(batch) * batch[0].job_class.seconds(simulator.config)
         service_s = (simulator.host.kernel_launch_overhead_s
                      + load_s + compute_s)
@@ -187,7 +187,6 @@ def baseline_run(simulator: ServingSimulator, scenario: Scenario,
         completed.extend(batch)
         device.free_at_s = finish
         device.busy_s += service_s
-        device.key_load_s += load_s
         device.jobs_done += len(batch)
         batches += 1
         batched_jobs += len(batch)
@@ -213,6 +212,6 @@ def baseline_run(simulator: ServingSimulator, scenario: Scenario,
                            default=0.0),
             device_busy_s=tuple(d.busy_s for d in devices),
             jobs_done=len(completed))
-    return simulator._report(scenario, completed, devices, batches,
-                             batched_jobs,
-                             cost_price_units=cost_price_units)
+    return report_from_jobs(scenario, completed, devices, batches=batches,
+                            batched_jobs=batched_jobs,
+                            cost_price_units=cost_price_units)

@@ -1,124 +1,24 @@
-"""Streaming quantile estimators for fleet-scale serving reports.
+"""Streaming quantile estimation for fleet-scale serving reports.
 
 ``ServingReport`` keeps every per-job latency by default — exact
 nearest-rank percentiles, but O(jobs) memory.  At million-job scale
-the fast engine can opt into streaming estimation instead:
-
-* :class:`P2Quantile` — the Jain/Chlamtac P-squared algorithm: five
-  markers per tracked quantile, O(1) memory, parabolic marker
-  adjustment.  Good to a fraction of a percent on smooth latency
-  distributions.
-* :class:`ReservoirQuantiles` — bottom-k uniform random keys, which
-  is exactly a uniform sample without replacement of the observed
-  values.  Vectorizable (whole numpy batches in one call) and
-  distribution-free: quantiles of the reservoir converge to the true
-  quantiles at O(1/sqrt(k)).
-
-Both expose ``add`` (scalar), ``add_array`` (numpy batch), and
-``quantile(q)``; the test suite bounds their error against exact
-percentiles on adversarial and smooth distributions.
+the fast engine can opt into streaming estimation instead
+(``streaming_quantiles``, applied in
+:func:`repro.runtime.serving.build_report`) through
+:class:`ReservoirQuantiles`: bottom-k uniform random keys, which is
+exactly a uniform sample without replacement of the observed values.
+It is vectorizable (whole numpy batches in one call) and
+distribution-free: quantiles of the reservoir converge to the true
+quantiles at O(1/sqrt(k)).  The test suite bounds its rank error
+against exact percentiles on adversarial and smooth distributions.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
-
-
-class P2Quantile:
-    """P-squared streaming estimator for a single quantile ``q``.
-
-    Jain & Chlamtac (1985): five markers track the running min, max,
-    the target quantile, and the two midpoints; marker heights move by
-    a piecewise-parabolic prediction when their positions drift from
-    the desired ones.  Memory is O(1) regardless of stream length.
-    """
-
-    __slots__ = ("q", "_count", "_heights", "_positions", "_desired",
-                 "_increments")
-
-    def __init__(self, q: float):
-        if not 0.0 < q < 1.0:
-            raise ValueError("q must be in (0, 1)")
-        self.q = float(q)
-        self._count = 0
-        self._heights: List[float] = []
-        self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-        self._desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q,
-                         3.0 + 2.0 * q, 5.0]
-        self._increments = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    def add(self, x: float) -> None:
-        self._count += 1
-        heights = self._heights
-        if len(heights) < 5:
-            heights.append(x)
-            heights.sort()
-            return
-        # Find the marker cell containing x, clamping the extremes.
-        if x < heights[0]:
-            heights[0] = x
-            k = 0
-        elif x >= heights[4]:
-            heights[4] = x
-            k = 3
-        else:
-            k = 0
-            while x >= heights[k + 1]:
-                k += 1
-        positions = self._positions
-        for i in range(k + 1, 5):
-            positions[i] += 1.0
-        desired = self._desired
-        for i in range(5):
-            desired[i] += self._increments[i]
-        # Adjust the three interior markers toward their desired
-        # positions with the parabolic (P^2) formula, falling back to
-        # linear when the parabola would cross a neighbor.
-        for i in range(1, 4):
-            d = desired[i] - positions[i]
-            if ((d >= 1.0 and positions[i + 1] - positions[i] > 1.0)
-                    or (d <= -1.0
-                        and positions[i - 1] - positions[i] < -1.0)):
-                step = 1.0 if d >= 1.0 else -1.0
-                candidate = self._parabolic(i, step)
-                if heights[i - 1] < candidate < heights[i + 1]:
-                    heights[i] = candidate
-                else:
-                    heights[i] = self._linear(i, step)
-                positions[i] += step
-
-    def _parabolic(self, i: int, step: float) -> float:
-        h, p = self._heights, self._positions
-        return h[i] + step / (p[i + 1] - p[i - 1]) * (
-            (p[i] - p[i - 1] + step) * (h[i + 1] - h[i])
-            / (p[i + 1] - p[i])
-            + (p[i + 1] - p[i] - step) * (h[i] - h[i - 1])
-            / (p[i] - p[i - 1]))
-
-    def _linear(self, i: int, step: float) -> float:
-        h, p = self._heights, self._positions
-        j = i + int(step)
-        return h[i] + step * (h[j] - h[i]) / (p[j] - p[i])
-
-    def add_array(self, xs: np.ndarray) -> None:
-        for x in xs:
-            self.add(float(x))
-
-    def quantile(self) -> float:
-        if self._count == 0:
-            raise ValueError("no observations")
-        if len(self._heights) < 5:
-            # Small-sample fallback: exact nearest-rank.
-            rank = max(0, math.ceil(self.q * len(self._heights)) - 1)
-            return sorted(self._heights)[rank]
-        return self._heights[2]
 
 
 class ReservoirQuantiles:
@@ -180,84 +80,4 @@ class ReservoirQuantiles:
         return [self.quantile(q) for q in qs]
 
 
-class LatencyAccumulator:
-    """Per-class latency sink: exact list or streaming reservoir.
-
-    The report assembly in both engines funnels latencies through this
-    adapter so the streaming opt-in is a constructor flag, not a
-    second code path.  ``streaming=None`` (auto) switches to a
-    reservoir once a class exceeds ``auto_threshold`` observations —
-    the fast engine's >100k-jobs opt-in — while DES keeps exact lists.
-    """
-
-    __slots__ = ("streaming", "auto_threshold", "capacity", "_seed",
-                 "_exact", "_reservoir", "_sum", "_count")
-
-    def __init__(self, streaming: Optional[bool] = False,
-                 auto_threshold: int = 100_000,
-                 capacity: int = 8192, seed: int = 0):
-        self.streaming = streaming
-        self.auto_threshold = int(auto_threshold)
-        self.capacity = int(capacity)
-        self._seed = int(seed)
-        self._exact: Optional[List[float]] = (
-            None if streaming is True else [])
-        self._reservoir: Optional[ReservoirQuantiles] = (
-            ReservoirQuantiles(capacity, seed) if streaming is True
-            else None)
-        self._sum = 0.0
-        self._count = 0
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    @property
-    def is_streaming(self) -> bool:
-        return self._reservoir is not None
-
-    def _spill(self) -> None:
-        reservoir = ReservoirQuantiles(self.capacity, self._seed)
-        reservoir.add_array(np.asarray(self._exact, dtype=np.float64))
-        self._reservoir = reservoir
-        self._exact = None
-
-    def add(self, x: float) -> None:
-        self._sum += x
-        self._count += 1
-        if self._exact is not None:
-            self._exact.append(x)
-            if (self.streaming is None
-                    and self._count > self.auto_threshold):
-                self._spill()
-        else:
-            self._reservoir.add(x)
-
-    def add_array(self, xs: np.ndarray) -> None:
-        xs = np.asarray(xs, dtype=np.float64).ravel()
-        if xs.size == 0:
-            return
-        self._sum += float(np.sum(xs))
-        self._count += int(xs.size)
-        if self._exact is not None:
-            self._exact.extend(xs.tolist())
-            if (self.streaming is None
-                    and self._count > self.auto_threshold):
-                self._spill()
-        else:
-            self._reservoir.add_array(xs)
-
-    def mean(self) -> float:
-        return self._sum / self._count if self._count else 0.0
-
-    def quantile(self, q: float) -> float:
-        if self._count == 0:
-            raise ValueError("no observations")
-        if self._reservoir is not None:
-            return self._reservoir.quantile(q)
-        ordered = sorted(self._exact)
-        rank = max(0, math.ceil(q * len(ordered)) - 1)
-        return ordered[rank]
-
-
-__all__ = ["LatencyAccumulator", "P2Quantile", "ReservoirQuantiles"]
+__all__ = ["ReservoirQuantiles"]

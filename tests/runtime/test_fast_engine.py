@@ -20,7 +20,7 @@ from repro.obs import MetricsRecorder, TimelineRecorder
 from repro.runtime.fast_engine import (STREAMING_AUTO_THRESHOLD,
                                        SetKeyCache, run_fast)
 from repro.runtime.policies import PriceSignal
-from repro.runtime.serving import (JobClass, KeyCache, Scenario,
+from repro.runtime.serving import (ENGINES, JobClass, KeyCache, Scenario,
                                    ServingSimulator, Stream,
                                    build_job_classes, build_scenarios,
                                    build_slo_scenario)
@@ -312,3 +312,59 @@ class TestEngineContract:
         assert n_vec == pytest.approx(n_exact, rel=0.10)
         assert ({w.name for w in vec.per_workload}
                 == {w.name for w in exact.per_workload})
+
+
+POLICY_NAMES = ["fifo", "edf", "deferrable-window"]
+
+
+class TestSharedReportEdgeCases:
+    """Corner cases of the one report builder, on both engines."""
+
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_empty_horizon(self, config, engine, policy):
+        scenario = build_slo_scenario(config, duration_s=0.0)
+        report = ServingSimulator(config).run(scenario, policy=policy,
+                                              engine=engine)
+        assert report.jobs_done == 0
+        assert report.rejected_jobs == 0
+        assert report.per_workload == []
+        assert report.slo_attainment is None
+        assert report.per_tenant_slo == ()
+        assert report.makespan_s == 0.0
+        assert report.goodput_jps == 0.0
+
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_slo_rejects_every_job(self, config, engine, policy):
+        """A 1 ns SLO no board can meet: admission control rejects
+        every job, so each class is reported with no completions and
+        NaN percentiles; fifo admits everything and misses every
+        deadline.  Either way attainment is exactly 0."""
+        scenario = build_slo_scenario(config, duration_s=0.02,
+                                      interactive_fraction=1.0,
+                                      interactive_slo_ms=1e-6)
+        simulator = ServingSimulator(config, num_devices=2)
+        other = ENGINES[1 - ENGINES.index(engine)]
+        report = simulator.run(scenario, seed=3, policy=policy,
+                               engine=engine)
+        assert_reports_identical(
+            report, simulator.run(scenario, seed=3, policy=policy,
+                                  engine=other))
+        assert report.slo_attainment == 0.0
+        assert report.goodput_jps == 0.0
+        assert report.per_workload
+        for stats in report.per_workload:
+            assert stats.slo_attainment == 0.0
+            if policy == "fifo":
+                assert stats.jobs > 0 and stats.rejected == 0
+            else:
+                assert stats.jobs == 0 and stats.rejected > 0
+                assert stats.throughput_jps == 0.0
+                assert all(math.isnan(v) for v in (
+                    stats.p50_ms, stats.p95_ms, stats.p99_ms,
+                    stats.mean_ms))
+        if policy != "fifo":
+            assert report.jobs_done == 0
+            assert all(attained == 0.0
+                       for _, attained in report.per_tenant_slo)

@@ -3,8 +3,7 @@
 The fleet-scale opt-in (``streaming_quantiles``) trades exact
 percentiles for O(1)-memory estimators; these tests pin the trade's
 price.  Reservoir quantiles get a distribution-free rank-error bound
-(the sample holds a uniform subset, so quantile ranks concentrate);
-P² is checked on smooth and adversarial inputs.
+(the sample holds a uniform subset, so quantile ranks concentrate).
 """
 
 import math
@@ -13,8 +12,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.runtime.stats import (LatencyAccumulator, P2Quantile,
-                                 ReservoirQuantiles)
+from repro.runtime.stats import ReservoirQuantiles
 
 
 def exact_quantile(values, q):
@@ -90,86 +88,3 @@ class TestReservoirQuantiles:
         with pytest.raises(ValueError, match="q must be"):
             reservoir.quantile(1.5)
         assert reservoir.quantiles([0.5, 0.99]) == [1.0, 1.0]
-
-
-class TestP2Quantile:
-    @pytest.mark.parametrize("name,q,tol", [
-        ("smooth", 0.5, 0.02),
-        ("smooth", 0.95, 0.05),
-    ])
-    def test_relative_error_on_smooth_quantiles(self, name, q, tol):
-        """P² tracks quantiles in smooth CDF regions to a few
-        percent; that is all it promises (it interpolates
-        parabolically, so plateaus and atoms defeat it — the engine
-        default is the reservoir for exactly this reason)."""
-        values = _distributions()[name]
-        estimator = P2Quantile(q)
-        estimator.add_array(np.asarray(values))
-        exact = exact_quantile(values, q)
-        assert estimator.quantile() == pytest.approx(exact, rel=tol)
-
-    def test_bimodal_median_stays_rank_correct(self):
-        """On a bimodal input the P² median may land mid-gap between
-        the modes — value-wise far from any datum, rank-wise still a
-        valid median split.  Pin the rank, not the value."""
-        values = _distributions()["bimodal"]
-        estimator = P2Quantile(0.5)
-        estimator.add_array(np.asarray(values))
-        below = sum(v <= estimator.quantile() for v in values)
-        assert below / len(values) == pytest.approx(0.5, abs=0.02)
-
-    def test_small_samples_are_exact(self):
-        estimator = P2Quantile(0.5)
-        for v in (3.0, 1.0, 2.0):
-            estimator.add(v)
-        assert estimator.quantile() == 2.0
-        assert estimator.count == 3
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="q must be"):
-            P2Quantile(0.0)
-        with pytest.raises(ValueError, match="q must be"):
-            P2Quantile(1.0)
-        with pytest.raises(ValueError, match="no observations"):
-            P2Quantile(0.5).quantile()
-
-
-class TestLatencyAccumulator:
-    def test_exact_mode_matches_nearest_rank(self):
-        rng = random.Random(1)
-        values = [rng.expovariate(2.0) for _ in range(999)]
-        acc = LatencyAccumulator(streaming=False)
-        for v in values:
-            acc.add(v)
-        assert not acc.is_streaming
-        assert acc.count == 999
-        assert acc.mean() == pytest.approx(sum(values) / 999)
-        for q in (0.5, 0.95, 0.99):
-            assert acc.quantile(q) == exact_quantile(values, q)
-
-    def test_auto_spills_past_threshold(self):
-        acc = LatencyAccumulator(streaming=None, auto_threshold=100,
-                                 capacity=64)
-        for i in range(100):
-            acc.add(float(i))
-        assert not acc.is_streaming
-        acc.add(100.0)
-        assert acc.is_streaming
-        # The spill seeds the reservoir with everything seen so far;
-        # mean stays exact either way.
-        assert acc.count == 101
-        assert acc.mean() == pytest.approx(50.0)
-        assert 30.0 <= acc.quantile(0.5) <= 70.0
-
-    def test_always_streaming_never_holds_exact_list(self):
-        acc = LatencyAccumulator(streaming=True, capacity=32)
-        assert acc.is_streaming
-        acc.add_array(np.arange(1000, dtype=np.float64))
-        assert acc.count == 1000
-        assert acc.mean() == pytest.approx(499.5)
-
-    def test_empty(self):
-        acc = LatencyAccumulator()
-        assert acc.mean() == 0.0
-        with pytest.raises(ValueError, match="no observations"):
-            acc.quantile(0.5)
