@@ -1,28 +1,37 @@
-"""Shared run grid for the fault-free bit-identity regression suite.
+"""Shared run grids for the bit-identity regression suites.
 
-The golden file ``tests/runtime/data/golden_fault_free.json`` was
-generated by running this module as a script against the PR 7 tree
-(before the fault-injection work landed).  The regression tests replay
-the same grid on the current tree and assert every report field that
-existed then is reproduced float-for-float, on both engines.
+Two grids, two golden files under ``tests/runtime/data/``:
+
+* ``golden_fault_free.json`` — fixed-pool runs on both engines,
+  generated against the PR 7 tree (before the fault-injection work
+  landed).  The regression tests replay the grid on the current tree
+  and assert every report field that existed then is reproduced
+  float-for-float.
+* ``golden_membership.json`` — DES runs whose pool membership moves:
+  faults only, autoscaling only, and both, each under ``fifo`` and
+  ``edf`` at two seeds.  Every report field is pinned, so any drift in
+  fault settlement, retry timing, drain arbitration or key residency
+  on the membership path fails by name.
 
 Regenerate (only when an intentional behavior change is being blessed):
 
-    PYTHONPATH=src python tests/runtime/_golden_grid.py
+    PYTHONPATH=src python tests/runtime/_golden_grid.py [fault_free|membership]
 """
 from __future__ import annotations
 
 import dataclasses
 import json
 import os
-from typing import Dict, Iterator, Tuple
+import sys
+from typing import Callable, Dict, Iterator, Tuple
 
 from repro.runtime.policies import PriceSignal
 from repro.runtime.serving import (ServingSimulator, build_scenarios,
                                    build_slo_scenario)
 
-DATA_PATH = os.path.join(os.path.dirname(__file__), "data",
-                         "golden_fault_free.json")
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+DATA_PATH = os.path.join(DATA_DIR, "golden_fault_free.json")
+MEMBERSHIP_PATH = os.path.join(DATA_DIR, "golden_membership.json")
 
 NUM_DEVICES = 4
 DURATION_S = 0.5
@@ -65,6 +74,35 @@ def golden_runs() -> Iterator[Tuple[str, Dict]]:
                     seed=3, policy="fifo", engine=engine))
 
 
+#: Membership grid: a short SLO-annotated horizon with striped training
+#: gangs, at a load where the reactive scaler both parks and unparks.
+MEMBERSHIP_DURATION_S = 0.3
+MEMBERSHIP_FAULTS = dict(faults="poisson:mtbf=0.3,mttr=0.03",
+                         retry="backoff:base=0.005")
+MEMBERSHIP_AUTOSCALE = dict(
+    autoscale="reactive:low=0.5,high=0.9,interval=0.01,cooldown=0.01")
+
+
+def membership_runs() -> Iterator[Tuple[str, Dict]]:
+    """Yield ``(key, run_kwargs)`` pairs for the membership grid:
+    {faults, autoscale, faults+autoscale} x {fifo, edf} x seeds 1, 2,
+    all on the DES (the only engine whose pool membership moves)."""
+    scenario = build_slo_scenario(num_devices=NUM_DEVICES,
+                                  duration_s=MEMBERSHIP_DURATION_S,
+                                  target_load=0.5, training_stripe=2)
+    mechanisms = {
+        "faults": MEMBERSHIP_FAULTS,
+        "autoscale": MEMBERSHIP_AUTOSCALE,
+        "faults+autoscale": {**MEMBERSHIP_FAULTS, **MEMBERSHIP_AUTOSCALE},
+    }
+    for mechanism, options in mechanisms.items():
+        for policy in ("fifo", "edf"):
+            for seed in (1, 2):
+                yield (f"{mechanism}/{policy}/seed{seed}",
+                       dict(scenario=scenario, seed=seed, policy=policy,
+                            **options))
+
+
 def report_dict(run_kwargs: Dict) -> Dict:
     """Run one grid point and return its report as JSON-normalized
     plain data (so tuple-vs-list and int-key-vs-str-key artifacts of
@@ -77,13 +115,20 @@ def report_dict(run_kwargs: Dict) -> Dict:
     return json.loads(json.dumps(dataclasses.asdict(report)))
 
 
-def compute_golden() -> Dict[str, Dict]:
-    return {key: report_dict(kwargs) for key, kwargs in golden_runs()}
+GRIDS: Dict[str, Tuple[str, Callable[[], Iterator[Tuple[str, Dict]]]]] = {
+    "fault_free": (DATA_PATH, golden_runs),
+    "membership": (MEMBERSHIP_PATH, membership_runs),
+}
+
+
+def compute_golden(runs=golden_runs) -> Dict[str, Dict]:
+    return {key: report_dict(kwargs) for key, kwargs in runs()}
 
 
 if __name__ == "__main__":
-    os.makedirs(os.path.dirname(DATA_PATH), exist_ok=True)
-    with open(DATA_PATH, "w") as fh:
-        json.dump(compute_golden(), fh, indent=1, sort_keys=True)
+    path, runs = GRIDS[sys.argv[1] if len(sys.argv) > 1 else "fault_free"]
+    os.makedirs(DATA_DIR, exist_ok=True)
+    with open(path, "w") as fh:
+        json.dump(compute_golden(runs), fh, indent=1, sort_keys=True)
         fh.write("\n")
-    print(f"wrote {DATA_PATH}")
+    print(f"wrote {path}")
