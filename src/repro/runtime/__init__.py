@@ -35,8 +35,6 @@ the FAB performance model (:mod:`repro.core`):
 * :mod:`~repro.runtime.arrivals` — the arrival-process library both
   engines draw from: Poisson (seed-for-seed the historical default),
   diurnal curves, MMPP bursts, flash crowds, JSONL trace replay.
-* :mod:`~repro.runtime.stats` — the bottom-k reservoir percentile
-  estimator behind the fast engine's streaming opt-in.
 * :mod:`~repro.runtime.striped_lowering` — FAB-2 trace striping: shard
   one trace's batch dimension across the pool, schedule per-board
   lanes with CMAC gather/broadcast traffic.
@@ -51,7 +49,7 @@ from .autoscaler import (AVAILABILITY_FLOOR, SCALE_POLICIES,
                          SpareScalePolicy, make_scale_policy)
 from .capture import (CountingKeySwitcher, TracingEncoder,
                       TracingEvaluator, capture)
-from .fast_engine import (STREAMING_AUTO_THRESHOLD, SetKeyCache, run_fast)
+from .fast_engine import SetKeyCache, run_fast
 from .faults import (FAULT_PROCESSES, RETRY_POLICIES,
                      ExponentialBackoffRetry, FaultProcess,
                      FaultSchedule, ImmediateRetry, NoRetry,
@@ -76,7 +74,6 @@ from .serving import (ENGINES, ArrivalChunk, Job, JobClass, KeyCache,
                       percentile)
 from .serving_baseline import BaselineKeyCache, baseline_run
 from .specs import SpecError
-from .stats import ReservoirQuantiles
 from .striped_lowering import (BOARD_POLICIES, BoardStriper, StripePlan,
                                StripedCost, StripedProgram,
                                StripedReport, StripedTrace,
@@ -100,8 +97,7 @@ __all__ = [
     "PolicyContext", "PoolLedger", "PriceSignal",
     "PredictiveScalePolicy",
     "REFERENCE_TRACES", "RETRY_POLICIES", "RateCurveProcess",
-    "ReactiveScalePolicy", "ReservoirQuantiles", "RetryPolicy",
-    "SCALE_POLICIES", "STREAMING_AUTO_THRESHOLD", "ScalePolicy",
+    "ReactiveScalePolicy", "RetryPolicy", "SCALE_POLICIES", "ScalePolicy",
     "ScaleSignals", "Scenario", "ScheduleScalePolicy",
     "SchedulingPolicy",
     "ServingReport", "ServingSimulator", "SetKeyCache",

@@ -37,12 +37,12 @@ oracle job for job:
 
 Service times, starts, finishes, busy time, and price-integrated cost
 are computed with the same floating-point expressions in the same
-order as the DES, so throughput, utilization, percentiles, SLO
-attainment, and cost are *equal* (not merely statistically close) on
-a shared exact arrival sequence (streaming quantiles, when opted in,
-are the one estimator in the report).  The hypothesis parity suite
-in ``tests/runtime/test_fast_engine.py`` pins this across policy x
-stripe x tenant grids.
+order as the DES, and both engines' percentiles are exact
+nearest-rank over every completed job, so throughput, utilization,
+percentiles, SLO attainment, and cost are *equal* (not merely
+statistically close) on a shared exact arrival sequence.  The
+hypothesis parity suite in ``tests/runtime/test_fast_engine.py`` pins
+this across policy x stripe x tenant grids.
 """
 
 from __future__ import annotations
@@ -57,9 +57,8 @@ import numpy as np
 
 from ..obs import Recorder
 from .policies import POLICIES, PriceSignal
-from .serving import (DONE, REJECTED, STREAMING_AUTO_THRESHOLD,
-                      STREAMING_RESERVOIR, KeyCache, Scenario,
-                      ServingReport, build_report, key_load_seconds)
+from .serving import (DONE, REJECTED, KeyCache, Scenario, ServingReport,
+                      build_report, key_load_seconds)
 
 
 class SetKeyCache:
@@ -200,8 +199,7 @@ class _FastEngine:
     def __init__(self, sim, scenario: Scenario, seed: int,
                  policy: str, price: PriceSignal,
                  recorder: Optional[Recorder],
-                 arrival_mode: str,
-                 streaming_quantiles: Optional[bool]):
+                 arrival_mode: str):
         if not isinstance(policy, str):
             raise ValueError(
                 "the fast engine replicates the built-in policies "
@@ -210,11 +208,6 @@ class _FastEngine:
         if policy not in POLICIES:
             raise ValueError(f"unknown policy {policy!r}; "
                              f"try: {', '.join(sorted(POLICIES))}")
-        if streaming_quantiles not in (None, False, True, "auto"):
-            raise ValueError(
-                "streaming_quantiles must be None/False (exact), "
-                "True (always stream), or 'auto' (stream past "
-                f"{STREAMING_AUTO_THRESHOLD} jobs per class)")
         self.sim = sim
         self.scenario = scenario
         self.policy_name = policy
@@ -223,7 +216,6 @@ class _FastEngine:
         self.price = price
         self.rec = (recorder if recorder is not None
                     and recorder.enabled else None)
-        self.streaming = streaming_quantiles
 
         # ---- arrivals: SoA in global arrival order -------------------
         chunks = list(scenario.arrivals(seed, mode=arrival_mode))
@@ -944,16 +936,14 @@ class _FastEngine:
             device_busy_s=dev_busy, device_jobs=self.dev_jobs,
             caches=caches, batches=batches, batched_jobs=batched_jobs,
             cost_price_units=cost, policy=self.policy_name,
-            deferred_jobs=self.deferred_count,
-            streaming_quantiles=self.streaming)
+            deferred_jobs=self.deferred_count)
 
 
 def run_fast(sim, scenario: Scenario, seed: int = 0,
              policy: str = "fifo",
              price: Optional[PriceSignal] = None,
              recorder: Optional[Recorder] = None,
-             arrival_mode: str = "exact",
-             streaming_quantiles: Optional[bool] = None) -> ServingReport:
+             arrival_mode: str = "exact") -> ServingReport:
     """Run ``scenario`` through the vectorized engine.
 
     Same contract as :meth:`ServingSimulator.run` with
@@ -965,9 +955,8 @@ def run_fast(sim, scenario: Scenario, seed: int = 0,
     if price is None:
         price = PriceSignal.flat()
     engine = _FastEngine(sim, scenario, seed, policy, price, recorder,
-                         arrival_mode, streaming_quantiles)
+                         arrival_mode)
     return engine.run()
 
 
-__all__ = ["STREAMING_AUTO_THRESHOLD", "STREAMING_RESERVOIR",
-           "SetKeyCache", "run_fast"]
+__all__ = ["SetKeyCache", "run_fast"]

@@ -113,7 +113,7 @@ class PoolLedger:
     their reports bit-identical.
     """
 
-    def __init__(self, num_boards: int, recorder: Optional[Recorder] = None):
+    def __init__(self, num_boards: int):
         if num_boards < 1:
             raise ValueError("need at least one board")
         self.num_boards = int(num_boards)
@@ -123,7 +123,8 @@ class PoolLedger:
         self._evicted = [False] * self.num_boards
         #: ``"old->new"`` -> count, the chaos-smoke arbitration counters.
         self.transitions: Dict[str, int] = {}
-        self.recorder = recorder
+        #: Set by the run that owns the ledger; ``None`` when unrecorded.
+        self.recorder: Optional[Recorder] = None
         self.closed_at: Optional[float] = None
 
     def state(self, board: int) -> str:
@@ -853,34 +854,31 @@ def run_with_ledger(
             if aborted:
                 continue
 
+        # Switching keys replicate into every gang board's HBM; the
+        # per-board PCIe loads run in parallel, so the batch waits for
+        # the slowest board's misses.  Residency is committed even if
+        # a fault then kills the batch: the loads were in flight.
+        load_s = 0.0
+        member_loads = [] if rec is not None else None
+        for member in gang:
+            miss_bytes = member.cache.request(batch[0].tenant, job_class)
+            member_load_s = key_load_seconds(sim.host, miss_bytes)
+            if evicts:
+                ledger.warmed(member.index)
+            if member_loads is not None:
+                member_loads.append((member.index, member_load_s, miss_bytes))
+            if member_load_s > load_s:
+                load_s = member_load_s
         compute_s = len(batch) * job_class.seconds(sim.config)
+        batch_service_s = launch_overhead_s + load_s + compute_s
+        finish = start + batch_service_s
         if schedule is not None:
-            # Key loads previewed without mutation so the finish time
-            # (and hence the kill window) is known before committing
-            # residency.
-            load_s = 0.0
-            for member in gang:
-                member_load_s = key_load_seconds(
-                    sim.host, member.cache.peek_miss_bytes(batch[0].tenant, job_class)
-                )
-                if member_load_s > load_s:
-                    load_s = member_load_s
-            finish = start + (launch_overhead_s + load_s + compute_s)
             fail_t = min(schedule.next_down_s(m.index) for m in gang)
             if fail_t < finish:
                 # The gang loses a board mid-batch (or at the starting
                 # line): everything since ``start`` is wasted and
-                # every job goes to the retry policy.  Key residency
-                # is committed — the loads were in flight — and the
-                # failed board's cache is wiped by its fault
-                # settlement.
-                member_loads = [] if rec is not None else None
-                for member in gang:
-                    miss_bytes = member.cache.request(batch[0].tenant, job_class)
-                    member_load_s = key_load_seconds(sim.host, miss_bytes)
-                    ledger.warmed(member.index)
-                    if member_loads is not None:
-                        member_loads.append((member.index, member_load_s, miss_bytes))
+                # every job goes to the retry policy.  The failed
+                # board's cache is wiped by its fault settlement.
                 if rec is not None and fail_t > start:
                     rec.batch(
                         start=start,
@@ -907,22 +905,6 @@ def run_with_ledger(
                 fail_batch(batch, gang, start, fail_t, launched=True)
                 continue
 
-        # Switching keys replicate into every gang board's HBM; the
-        # per-board PCIe loads run in parallel, so the batch waits for
-        # the slowest board's misses.
-        load_s = 0.0
-        member_loads = [] if rec is not None else None
-        for member in gang:
-            miss_bytes = member.cache.request(batch[0].tenant, job_class)
-            member_load_s = key_load_seconds(sim.host, miss_bytes)
-            if evicts:
-                ledger.warmed(member.index)
-            if member_loads is not None:
-                member_loads.append((member.index, member_load_s, miss_bytes))
-            if member_load_s > load_s:
-                load_s = member_load_s
-        batch_service_s = launch_overhead_s + load_s + compute_s
-        finish = start + batch_service_s
         for job in batch:
             job.finish_s = finish
         completed.extend(batch)

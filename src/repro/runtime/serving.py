@@ -61,7 +61,6 @@ from .arrivals import ArrivalProcess, PoissonProcess, make_process
 from .lowering import cost_trace
 from .optrace import OpTrace
 from .policies import PriceSignal
-from .stats import ReservoirQuantiles
 
 #: Engines selectable in :meth:`ServingSimulator.run`: the exact DES
 #: (bit-identical to the preserved baseline under fifo) and the
@@ -740,35 +739,18 @@ class ServingReport:
             notes=notes)
 
 
-#: Per-class job count above which ``streaming_quantiles="auto"``
-#: switches from exact latency percentiles to a reservoir estimator.
-STREAMING_AUTO_THRESHOLD = 100_000
-
-#: Reservoir capacity for streaming percentile estimation.
-STREAMING_RESERVOIR = 8192
-
 #: Job outcome codes: the ``status`` column of :func:`build_report`.
 #: ``DEGRADED`` completed on a smaller-than-planned gang;
 #: ``SHED_DEGRADED`` was shed because no viable smaller gang existed.
 DONE, DEGRADED, REJECTED, SHED, SHED_DEGRADED = range(5)
 
 
-def _latency_ms(latencies: np.ndarray, streaming_quantiles
-                ) -> Tuple[float, float, float, float]:
-    """``(p50, p95, p99, mean)`` of one class's latencies, in ms
-    (sorts ``latencies`` in place)."""
+def _latency_ms(latencies: np.ndarray) -> Tuple[float, float, float, float]:
+    """Exact nearest-rank ``(p50, p95, p99, mean)`` of one class's
+    latencies, in ms (sorts ``latencies`` in place)."""
     count = latencies.size
     if count == 0:
         return (math.nan,) * 4
-    if streaming_quantiles is True or (
-            streaming_quantiles == "auto"
-            and count > STREAMING_AUTO_THRESHOLD):
-        reservoir = ReservoirQuantiles(STREAMING_RESERVOIR, seed=0)
-        reservoir.add_array(latencies)
-        return (reservoir.quantile(0.50) * 1e3,
-                reservoir.quantile(0.95) * 1e3,
-                reservoir.quantile(0.99) * 1e3,
-                float(np.sum(latencies)) / count * 1e3)
     # A sequential sum over the sorted list keeps the mean bit-stable
     # (numpy's pairwise summation would drift in the last ulp).
     latencies.sort()
@@ -789,7 +771,6 @@ def build_report(scenario: str, *,
                  retries: Optional[np.ndarray] = None,
                  policy: str = "fifo", deferred_jobs: int = 0,
                  board_seconds: Optional[float] = None,
-                 streaming_quantiles=None,
                  **counters) -> ServingReport:
     """Assemble a :class:`ServingReport` from per-job outcome columns.
 
@@ -817,9 +798,9 @@ def build_report(scenario: str, *,
     The run totals are per-device busy seconds and credited jobs, the
     device key caches (hit/miss/byte counters), batch counts, and the
     price-integrated cost.  ``board_seconds`` defaults to a fixed
-    pool's ``makespan * devices``; ``streaming_quantiles`` is the fast
-    engine's reservoir opt-in (``True`` or ``"auto"``); ``counters``
-    (fault and autoscale counts) are copied onto the report.
+    pool's ``makespan * devices``; ``counters`` (fault and autoscale
+    counts) are copied onto the report.  Latency percentiles are exact
+    nearest-rank over every completed job.
     """
     done = ~np.isnan(finish_s)
     makespan = float(np.max(finish_s, where=done, initial=0.0))
@@ -846,8 +827,7 @@ def build_report(scenario: str, *,
         if not jobs and not rejected_c[c]:
             continue
         mine = done & (class_index == c)
-        p50, p95, p99, mean = _latency_ms(
-            finish_s[mine] - arrival_s[mine], streaming_quantiles)
+        p50, p95, p99, mean = _latency_ms(finish_s[mine] - arrival_s[mine])
         stats.append(WorkloadStats(
             name=name, jobs=jobs,
             throughput_jps=jobs / makespan if makespan else 0.0,
@@ -1016,7 +996,6 @@ class ServingSimulator:
             recorder: Optional[Recorder] = None,
             engine: str = "des",
             arrival_mode: str = "exact",
-            streaming_quantiles: Optional[bool] = None,
             faults=None,
             retry=None,
             autoscale=None) -> ServingReport:
@@ -1028,12 +1007,9 @@ class ServingSimulator:
         ``"fast"`` (the vectorized engine in
         :mod:`repro.runtime.fast_engine`, same semantics at ~10x the
         event rate; the parity suite holds its reports to the DES
-        oracle on shared arrival sequences).  ``arrival_mode`` and
-        ``streaming_quantiles`` tune the fast engine only — chunked
-        exact vs numpy-vectorized arrival generation, and streaming
-        (reservoir) percentile estimation (default exact lists;
-        ``True`` always streams, ``"auto"`` streams past 100k jobs
-        per class).
+        oracle on shared arrival sequences).  ``arrival_mode`` tunes
+        the fast engine only: chunked exact (the default) or
+        numpy-vectorized arrival generation.
 
         The DES is driven by two event sources merged per dispatch: a
         heap of device-completion times and the time-sorted arrival
@@ -1102,8 +1078,7 @@ class ServingSimulator:
             from .fast_engine import run_fast
             return run_fast(self, scenario, seed=seed, policy=policy,
                             price=price, recorder=recorder,
-                            arrival_mode=arrival_mode,
-                            streaming_quantiles=streaming_quantiles)
+                            arrival_mode=arrival_mode)
         if engine != "des":
             raise ValueError(f"unknown engine {engine!r}; "
                              f"try: {', '.join(ENGINES)}")
@@ -1111,10 +1086,6 @@ class ServingSimulator:
             raise ValueError(
                 "the DES engine always generates arrivals exactly; "
                 "arrival_mode applies to engine='fast' only")
-        if streaming_quantiles:
-            raise ValueError(
-                "the DES engine keeps exact latency lists; "
-                "streaming_quantiles applies to engine='fast' only")
         from .membership import run_with_ledger
         return run_with_ledger(
             self, scenario, seed=seed, policy=policy, price=price,

@@ -23,7 +23,7 @@ import dataclasses
 import json
 import os
 import sys
-from typing import Callable, Dict, Iterator, Tuple
+from typing import Dict, Iterator, Tuple
 
 from repro.runtime.policies import PriceSignal
 from repro.runtime.serving import (ServingSimulator, build_scenarios,
@@ -115,7 +115,8 @@ def report_dict(run_kwargs: Dict) -> Dict:
     return json.loads(json.dumps(dataclasses.asdict(report)))
 
 
-GRIDS: Dict[str, Tuple[str, Callable[[], Iterator[Tuple[str, Dict]]]]] = {
+#: Script argument -> (golden file, grid).
+GRIDS = {
     "fault_free": (DATA_PATH, golden_runs),
     "membership": (MEMBERSHIP_PATH, membership_runs),
 }

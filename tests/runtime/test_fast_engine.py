@@ -5,7 +5,7 @@ oracle on a shared arrival sequence — not statistical similarity.  The
 hypothesis suite here drives both engines across the policy x stripe x
 tenancy x load space and requires bit-identical reports; unit tests
 pin the working-set key cache to the per-key LRU, recorder event
-streams, and the streaming-percentile opt-in contract.
+streams, and the engine-selection contract.
 """
 
 import dataclasses
@@ -17,8 +17,7 @@ from hypothesis import strategies as st
 
 from repro.core import FabConfig
 from repro.obs import MetricsRecorder, TimelineRecorder
-from repro.runtime.fast_engine import (STREAMING_AUTO_THRESHOLD,
-                                       SetKeyCache, run_fast)
+from repro.runtime.fast_engine import SetKeyCache, run_fast
 from repro.runtime.policies import PriceSignal
 from repro.runtime.serving import (ENGINES, JobClass, KeyCache, Scenario,
                                    ServingSimulator, Stream,
@@ -222,62 +221,17 @@ class TestSetKeyCache:
                     == per_key.request(f"t{tenant}", jc))
 
 
-class TestStreamingQuantiles:
-    """Streaming percentiles: strictly opt-in, bounded error."""
-
-    def _lat_table(self, report):
-        return {w.name: (w.p50_ms, w.p95_ms, w.p99_ms)
-                for w in report.per_workload}
-
-    def test_default_is_exact(self, config):
-        scenario = build_scenarios(config, duration_s=0.2)["mixed"]
-        simulator = ServingSimulator(config)
-        des = simulator.run(scenario, seed=0)
-        for value in (None, False, "auto"):
-            fast = simulator.run(scenario, seed=0, engine="fast",
-                                 streaming_quantiles=value)
-            assert_reports_identical(fast, des)
-
-    def test_streaming_error_is_bounded(self, config):
-        """Reservoir percentiles on a real run: within a few percent
-        of the exact tail (the reservoir holds 8k of ~10k points)."""
-        scenario = build_slo_scenario(config, duration_s=3.7,
-                                      target_load=1.5)
-        simulator = ServingSimulator(config, max_batch=32)
-        exact = simulator.run(scenario, seed=0, engine="fast")
-        stream = simulator.run(scenario, seed=0, engine="fast",
-                               streaming_quantiles=True)
-        assert stream.jobs_done == exact.jobs_done
-        assert stream.makespan_s == exact.makespan_s
-        exact_t = self._lat_table(exact)
-        stream_t = self._lat_table(stream)
-        for name, exact_qs in exact_t.items():
-            for e, s in zip(exact_qs, stream_t[name]):
-                if math.isnan(e):
-                    assert math.isnan(s)
-                else:
-                    assert s == pytest.approx(e, rel=0.05, abs=0.05)
-
-    def test_auto_threshold_is_exported(self):
-        assert STREAMING_AUTO_THRESHOLD == 100_000
-
-    def test_validation(self, config):
-        scenario = build_scenarios(config, duration_s=0.05)["mixed"]
-        simulator = ServingSimulator(config)
-        with pytest.raises(ValueError, match="streaming_quantiles"):
-            simulator.run(scenario, engine="fast",
-                          streaming_quantiles="reservoir")
-        with pytest.raises(ValueError, match="DES engine"):
-            simulator.run(scenario, streaming_quantiles=True)
-        with pytest.raises(ValueError, match="DES engine"):
-            simulator.run(scenario, arrival_mode="vectorized")
-
-
 class TestEngineContract:
     def test_unknown_engine(self, config):
         scenario = build_scenarios(config, duration_s=0.05)["mixed"]
         with pytest.raises(ValueError, match="unknown engine"):
             ServingSimulator(config).run(scenario, engine="turbo")
+
+    def test_des_rejects_vectorized_arrivals(self, config):
+        scenario = build_scenarios(config, duration_s=0.05)["mixed"]
+        with pytest.raises(ValueError, match="DES engine"):
+            ServingSimulator(config).run(scenario,
+                                         arrival_mode="vectorized")
 
     def test_fast_rejects_policy_instances(self, config):
         from repro.runtime.policies import make_policy

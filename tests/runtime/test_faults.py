@@ -12,6 +12,7 @@ observability layer sees faults without perturbing the simulation.
 import json
 import math
 import random
+import signal
 
 import pytest
 from hypothesis import given, settings
@@ -331,6 +332,35 @@ class TestChaosSmoke:
         assert report.shed_degraded == 0
         good = int(round(report.goodput_jps * report.makespan_s))
         assert good == 126
+
+
+class TestEdfLivenessUnderFaults:
+    """Known defect (ROADMAP, "Liveness defect"): once faults have
+    evicted every key cache, EDF skips a cold-cache head on every
+    board, every board defers to ``inf``, and fault settlement at
+    ``t = inf`` never ends.  The xfail is strict, so a fix fails this
+    test until the marker is removed."""
+
+    @pytest.mark.xfail(raises=TimeoutError, strict=True,
+                       reason="EDF x faults can defer every board to inf")
+    def test_edf_run_returns(self, config):
+        scenario = build_slo_scenario(config, num_devices=4,
+                                      duration_s=0.3)
+        simulator = ServingSimulator(config, num_devices=4)
+
+        def give_up(signum, frame):
+            raise TimeoutError("run did not return within 5 s")
+
+        previous = signal.signal(signal.SIGALRM, give_up)
+        signal.alarm(5)
+        try:
+            report = simulator.run(scenario, seed=1, policy="edf",
+                                   faults="poisson:mtbf=0.3,mttr=0.03",
+                                   retry="backoff:base=0.005")
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        conservation(scenario, report, 1)
 
 
 class TestConservationProperty:
