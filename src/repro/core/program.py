@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence
 from .hbm import HbmModel
 from .ops import FabOpModel
 from .params import FabConfig
-from .scheduler import ScheduleResult, TaskGraph
+from .scheduler import TaskGraph
 
 #: Operation kinds a program may contain.  Each names a
 #: :class:`repro.core.ops.FabOpModel` method that prices it;
@@ -56,10 +56,10 @@ _OP_COST_CACHE: Dict["FabConfig", Dict[tuple, tuple]] = {}
 
 @dataclass
 class ProgramReport:
-    """Scheduling outcome for one program."""
+    """Scheduling outcome for one program: a summary that keeps no
+    tasks (callers that need them schedule ``compile(prefetch)``)."""
 
     cycles: int
-    schedule: ScheduleResult
     fu_busy: int
     hbm_busy: int
     num_ops: int
@@ -202,7 +202,6 @@ class FabProgram:
         hbm = result.resources.get("hbm")
         return ProgramReport(
             cycles=result.makespan,
-            schedule=result,
             fu_busy=fu.busy_cycles if fu else 0,
             hbm_busy=hbm.busy_cycles if hbm else 0,
             num_ops=len(self.ops))

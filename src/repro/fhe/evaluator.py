@@ -233,12 +233,12 @@ class Evaluator:
         centered = np.where(last_coeff >= (q_last + 1) // 2,
                             last_coeff - q_last, last_coeff)
         remaining = poly.basis.primes[:-1]
-        out = np.empty((len(remaining), ring_degree), dtype=np.int64)
-        for i, q in enumerate(remaining):
-            ctx = get_ntt_context(ring_degree, q)
-            lifted = ctx.forward(centered % q)
-            inv = modinv(q_last % q, q)
-            out[i] = (poly.limbs[i] - lifted) % q * inv % q
+        lifted = get_ntt_context(ring_degree, remaining).forward(
+            np.broadcast_to(centered, (len(remaining), ring_degree)))
+        q = np.array(remaining, dtype=np.int64)[:, None]
+        inv = np.array([modinv(q_last % qi, qi) for qi in remaining],
+                       dtype=np.int64)[:, None]
+        out = (poly.limbs[:-1] - lifted) % q * inv % q
         from .rns import RnsBasis
         return RnsPolynomial(ring_degree, RnsBasis(remaining), out,
                              is_ntt=True)

@@ -89,21 +89,17 @@ class RnsPolynomial:
         """Return the evaluation-representation version of this polynomial."""
         if self.is_ntt:
             return self
-        out = np.empty_like(self.limbs)
-        for i, q in enumerate(self.basis.primes):
-            ctx = get_ntt_context(self.ring_degree, q)
-            out[i] = ctx.forward(self.limbs[i])
-        return RnsPolynomial(self.ring_degree, self.basis, out, is_ntt=True)
+        ctx = get_ntt_context(self.ring_degree, self.basis.primes)
+        return RnsPolynomial(self.ring_degree, self.basis,
+                             ctx.forward(self.limbs), is_ntt=True)
 
     def to_coeff(self) -> "RnsPolynomial":
         """Return the coefficient-representation version of this polynomial."""
         if not self.is_ntt:
             return self
-        out = np.empty_like(self.limbs)
-        for i, q in enumerate(self.basis.primes):
-            ctx = get_ntt_context(self.ring_degree, q)
-            out[i] = ctx.inverse(self.limbs[i])
-        return RnsPolynomial(self.ring_degree, self.basis, out, is_ntt=False)
+        ctx = get_ntt_context(self.ring_degree, self.basis.primes)
+        return RnsPolynomial(self.ring_degree, self.basis,
+                             ctx.inverse(self.limbs), is_ntt=False)
 
     # ------------------------------------------------------------------
     # Arithmetic

@@ -50,7 +50,7 @@ from .autoscaler import make_scale_policy
 from .capture import capture
 from .faults import (FAULT_PROCESSES, RETRY_POLICIES, make_fault_process,
                      make_retry_policy)
-from .lowering import cost_trace
+from .lowering import cost_trace, lower_trace
 from .optrace import OpTrace
 from .policies import POLICIES, PriceSignal
 from .reference import REFERENCE_TRACES, build_reference_trace
@@ -102,10 +102,12 @@ def run_trace(argv: List[str]) -> int:
         trace = _capture_lr_trace()
     else:
         trace = build_reference_trace(args.workload, config)
-    cost = cost_trace(trace, config, prefetch=not args.no_prefetch)
+    prefetch = not args.no_prefetch
+    cost = cost_trace(trace, config, prefetch=prefetch)
+    schedule = lower_trace(trace, config).compile(prefetch).schedule()
 
     print(trace.summary())
-    print(f"lowered: {len(cost.report.schedule.tasks)} tasks, "
+    print(f"lowered: {len(schedule.tasks)} tasks, "
           f"{cost.report.num_ops} ops")
     print(f"cycles: {cost.cycles:,} scheduled "
           f"({cost.serial_cycles:,} serial) = {cost.seconds * 1e3:.3f} ms "
@@ -120,7 +122,7 @@ def run_trace(argv: List[str]) -> int:
     if args.timeline:
         recorder = TimelineRecorder(
             meta=provenance(config=config, workload=args.workload))
-        cost.report.schedule.record_timeline(
+        schedule.record_timeline(
             recorder, seconds_per_cycle=config.cycles_to_seconds(1),
             group=f"{trace.name} schedule")
         recorder.save(args.timeline)

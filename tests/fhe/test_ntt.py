@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import execute_schedule
 from repro.fhe.ntt import NttContext, get_ntt_context
 from repro.fhe.primes import find_ntt_prime
 
@@ -124,3 +125,57 @@ class TestMultipleDegrees:
         fast = ctx.inverse(
             ctx.pointwise_multiply(ctx.forward(a), ctx.forward(b)))
         assert np.array_equal(fast, ctx.negacyclic_convolution(a, b))
+
+
+@st.composite
+def limb_matrices(draw):
+    """An ``(L, N)`` matrix over 1-8 NTT primes of 20-30 bits, with row
+    ``i`` drawn from ``[-q_i, 2 q_i)`` (unreduced, as callers pass)."""
+    n = 1 << draw(st.integers(min_value=3, max_value=10))
+    primes = []
+    for bits in draw(st.lists(st.integers(min_value=20, max_value=30),
+                              min_size=1, max_size=8)):
+        primes.append(find_ntt_prime(bits, n, avoid=primes))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = np.array(primes, dtype=np.int64)[:, None]
+    return primes, rng.integers(-q, 2 * q, size=(len(primes), n))
+
+
+class TestLimbMatrix:
+    """One call transforms every row of a limb matrix modulo its prime."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(limb_matrices())
+    def test_matches_per_prime_transform_row_by_row(self, case):
+        primes, x = case
+        n = x.shape[1]
+        ctx = get_ntt_context(n, primes)
+        fwd, inv = ctx.forward(x), ctx.inverse(x)
+        for row, q in enumerate(primes):
+            one = get_ntt_context(n, q)
+            assert np.array_equal(fwd[row], one.forward(x[row]))
+            assert np.array_equal(inv[row], one.inverse(x[row]))
+            # Independent oracle: the hardware address generator.
+            assert np.array_equal(
+                fwd[row], execute_schedule(x[row], one._forward_twiddles, q))
+
+    @settings(max_examples=30, deadline=None)
+    @given(limb_matrices())
+    def test_inverse_undoes_forward(self, case):
+        primes, x = case
+        ctx = get_ntt_context(x.shape[1], primes)
+        q = np.array(primes, dtype=np.int64)[:, None]
+        assert np.array_equal(ctx.inverse(ctx.forward(x)), x % q)
+
+    @settings(max_examples=30, deadline=None)
+    @given(limb_matrices(), st.sampled_from(["rows", "cols", "vector"]))
+    def test_wrong_shape_is_one_line_value_error(self, case, bad):
+        primes, x = case
+        limbs, n = x.shape
+        ctx = get_ntt_context(n, primes)
+        shape = {"rows": (limbs + 1, n), "cols": (limbs, n // 2),
+                 "vector": (n * limbs + 1,)}[bad]
+        for transform in (ctx.forward, ctx.inverse):
+            with pytest.raises(ValueError) as err:
+                transform(np.zeros(shape, dtype=np.int64))
+            assert "\n" not in str(err.value)

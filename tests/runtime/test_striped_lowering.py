@@ -136,14 +136,16 @@ class TestStripedProperties:
         plain lowering: same tasks, same starts, same finishes."""
         program = lower_striped_trace(trace, 1, CONFIG)
         striped_result = program.schedule()
-        plain_result = lower_trace(trace, CONFIG).schedule()
+        plain_program = lower_trace(trace, CONFIG)
+        plain_result = plain_program.schedule()
         assert striped_result.cycles == plain_result.cycles
         assert striped_result.comm_rounds == 0
         assert striped_result.comm_busy == 0
         got = {name: (t.resource, t.cycles, t.start, t.finish, t.deps)
                for name, t in striped_result.schedule.tasks.items()}
+        plain_tasks = plain_program.compile(True).schedule().tasks
         want = {name: (t.resource, t.cycles, t.start, t.finish, t.deps)
-                for name, t in plain_result.schedule.tasks.items()}
+                for name, t in plain_tasks.items()}
         assert got == want
 
     @settings(max_examples=20, deadline=None)
