@@ -49,7 +49,7 @@ from .autoscaler import (AVAILABILITY_FLOOR, SCALE_POLICIES,
                          SpareScalePolicy, make_scale_policy)
 from .capture import (CountingKeySwitcher, TracingEncoder,
                       TracingEvaluator, capture)
-from .fast_engine import SetKeyCache, run_fast
+from .fast_engine import run_fast
 from .faults import (FAULT_PROCESSES, RETRY_POLICIES,
                      ExponentialBackoffRetry, FaultProcess,
                      FaultSchedule, ImmediateRetry, NoRetry,
@@ -68,10 +68,11 @@ from .reference import (REFERENCE_TRACES, analytics_trace,
                         bootstrap_trace, build_reference_trace,
                         lr_inference_trace, lr_iteration_trace)
 from .serving import (ENGINES, ArrivalChunk, Job, JobClass, KeyCache,
-                      Scenario, ServingReport, ServingSimulator, Stream,
-                      WorkloadStats, build_job_classes, build_scenarios,
+                      Scenario, ServingReport, ServingSimulator,
+                      SetKeyCache, Stream, WorkloadStats,
+                      build_job_classes, build_scenarios,
                       build_slo_scenario, default_interactive_slo_ms,
-                      percentile)
+                      key_caches, percentile)
 from .serving_baseline import BaselineKeyCache, baseline_run
 from .specs import SpecError
 from .striped_lowering import (BOARD_POLICIES, BoardStriper, StripePlan,
@@ -111,7 +112,8 @@ __all__ = [
     "bootstrap_trace", "build_job_classes", "build_reference_trace",
     "build_scenarios", "build_slo_scenario", "capture",
     "cost_striped_trace", "cost_trace",
-    "default_interactive_slo_ms", "infer_plan", "key_working_set",
+    "default_interactive_slo_ms", "infer_plan", "key_caches",
+    "key_working_set",
     "largest_viable_stripe",
     "lower_striped_trace", "lower_trace", "lowered_op",
     "lr_inference_trace", "lr_iteration_trace", "make_fault_process",

@@ -22,12 +22,6 @@ oracle job for job:
   the deferrable tier) with the same lazy invalidation the DES
   head-heap uses — so the engine sees exactly the queue fronts the
   DES policy would see, at O(log queues) per dispatch.
-* **Working-set key cache.**  A job class's switching keys are always
-  requested together, so per-key LRU state collapses to one
-  ``(tenant, key-set) -> resident-key-count`` entry with partial-
-  count evictions — bit-exact to :class:`KeyCache` whenever no two
-  overlapping key sets share a tenant namespace (checked at setup;
-  the engine falls back to the real per-key cache otherwise).
 * **Vectorized bookkeeping.**  Completion times are recorded as
   (batch size, finish) run-lengths per queue and expanded with
   ``np.repeat`` at the end, and the per-job arrays go straight into
@@ -50,118 +44,14 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_right
-from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..obs import Recorder
 from .policies import POLICIES, PriceSignal
-from .serving import (DONE, REJECTED, KeyCache, Scenario, ServingReport,
-                      build_report, key_load_seconds)
-
-
-class SetKeyCache:
-    """Working-set-granularity LRU over one device's HBM.
-
-    Equivalent to :class:`repro.runtime.serving.KeyCache` when every
-    request touches a full key set and no two *different* sets that
-    can share a tenant overlap: residency then collapses to a
-    resident-key *count* per (tenant, set) entry, evicted oldest-first
-    (partially when a set is only partly displaced), with identical
-    hit/miss/byte accounting.  ``sets[set_id]`` is
-    ``(n_keys, bytes_per_key, set_bytes)``.
-    """
-
-    __slots__ = ("capacity_bytes", "_sets", "_resident", "_bytes",
-                 "hits", "misses", "bytes_loaded", "evictions",
-                 "bytes_evicted")
-
-    def __init__(self, capacity_bytes: int,
-                 sets: List[Tuple[int, int, int]]):
-        self.capacity_bytes = capacity_bytes
-        self._sets = sets
-        self._resident: "OrderedDict[Tuple[int, int], int]" = \
-            OrderedDict()
-        self._bytes = 0
-        self.hits = 0
-        self.misses = 0
-        self.bytes_loaded = 0
-        self.evictions = 0
-        self.bytes_evicted = 0
-
-    def peek_miss_bytes(self, tid: int, set_id: int) -> int:
-        n_keys, bytes_per_key, _ = self._sets[set_id]
-        count = self._resident.get((tid, set_id), 0)
-        return (n_keys - count) * bytes_per_key
-
-    def request(self, tid: int, set_id: int) -> int:
-        n_keys, bytes_per_key, set_bytes = self._sets[set_id]
-        if n_keys == 0:
-            return 0
-        entry = (tid, set_id)
-        resident = self._resident
-        count = resident.get(entry)
-        if count is None:
-            missed = n_keys
-            resident[entry] = n_keys
-            self._bytes += set_bytes
-        elif count == n_keys and self._bytes <= self.capacity_bytes:
-            # Full hit under capacity: refresh recency, nothing else
-            # moves.  (Over capacity — an oversized pinned set — the
-            # general path below still runs its eviction sweep, as
-            # the per-key cache would on any request.)
-            self.hits += n_keys
-            resident.move_to_end(entry)
-            return 0
-        else:
-            self.hits += count
-            missed = n_keys - count
-            resident.move_to_end(entry)
-            resident[entry] = n_keys
-            self._bytes += missed * bytes_per_key
-        self.misses += missed
-        miss_bytes = missed * bytes_per_key
-        self.bytes_loaded += miss_bytes
-        capacity = self.capacity_bytes
-        if self._bytes > capacity:
-            # The requesting set is pinned at the MRU end; evict from
-            # the LRU front, a set (or the oldest part of one) at a
-            # time, exactly as the per-key loop would.
-            while self._bytes > capacity:
-                victim = next(iter(resident))
-                if victim == entry:
-                    break
-                v_count = resident[victim]
-                v_bpk = self._sets[victim[1]][1]
-                if v_bpk == 0:
-                    # Zero-byte keys free no space; the per-key loop
-                    # pops them one by one and moves on.
-                    del resident[victim]
-                    self.evictions += v_count
-                    continue
-                need_keys = -((capacity - self._bytes) // v_bpk)
-                evict = min(v_count, need_keys)
-                if evict == v_count:
-                    del resident[victim]
-                else:
-                    # Partial: the set's oldest keys go; the entry
-                    # keeps its LRU-front position.
-                    resident[victim] = v_count - evict
-                self._bytes -= evict * v_bpk
-                self.evictions += evict
-                self.bytes_evicted += evict * v_bpk
-        return miss_bytes
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "bytes_loaded": self.bytes_loaded,
-            "evictions": self.evictions,
-            "bytes_evicted": self.bytes_evicted,
-            "resident_bytes": self._bytes,
-        }
+from .serving import (DONE, REJECTED, Scenario, ServingReport,
+                      build_report, key_caches, key_load_seconds)
 
 
 class _QueueDomain:
@@ -263,35 +153,6 @@ class _FastEngine:
             tid_np[mask] = s_tid[s][tenant_np[mask]]
         self.tid_np = tid_np
 
-        # ---- key-set interning + cache-mode check -------------------
-        set_ids: Dict[Tuple, int] = {}
-        self.key_sets: List[Tuple[int, int, int]] = []
-        self.s_setid: List[int] = []
-        for jc in self.s_class:
-            sig = (jc.key_ids, jc.bytes_per_key)
-            sid = set_ids.get(sig)
-            if sid is None:
-                sid = set_ids[sig] = len(self.key_sets)
-                self.key_sets.append((len(jc.key_ids),
-                                      jc.bytes_per_key, jc.key_bytes))
-            self.s_setid.append(sid)
-        # Set-granularity caching is exact only when no two *distinct*
-        # key sets that can share a tenant namespace overlap: group
-        # streams by tenant prefix and compare their key sets.
-        self.set_cache_ok = True
-        by_prefix: Dict[str, List[int]] = {}
-        for s, st in enumerate(streams):
-            by_prefix.setdefault(st.tenant_prefix, []).append(s)
-        for members in by_prefix.values():
-            sigs = {}
-            for s in members:
-                sigs[self.s_setid[s]] = set(self.s_class[s].key_ids)
-            sids = list(sigs)
-            for i in range(len(sids)):
-                for j in range(i + 1, len(sids)):
-                    if sigs[sids[i]] & sigs[sids[j]]:
-                        self.set_cache_ok = False
-
         # ---- per-job deadlines / windows ----------------------------
         dead_np = np.full(n, math.inf)
         forced_np = np.full(n, math.inf)
@@ -325,7 +186,7 @@ class _FastEngine:
         two_tier = self.policy_code == 2
         qid_of: Dict[Tuple, int] = {}
         s_qid: List[np.ndarray] = []
-        q_meta: List[Tuple[int, str, str, bool]] = []
+        q_meta: List[Tuple[str, str, bool]] = []
         for s, st in enumerate(streams):
             lookup = np.empty(st.num_tenants, dtype=np.int64)
             tier = st.deferrable if two_tier else False
@@ -334,8 +195,7 @@ class _FastEngine:
                 qid = qid_of.get(key)
                 if qid is None:
                     qid = qid_of[key] = len(q_meta)
-                    q_meta.append((int(s_tid[s][t]),
-                                   st.job_class.name, tenant, tier))
+                    q_meta.append((st.job_class.name, tenant, tier))
                 lookup[t] = qid
             s_qid.append(lookup)
         nq = len(q_meta)
@@ -343,10 +203,9 @@ class _FastEngine:
         for s in range(len(streams)):
             mask = stream_np == s
             qid_np[mask] = s_qid[s][tenant_np[mask]]
-        self.q_tid = [m[0] for m in q_meta]
-        self.q_name = [m[1] for m in q_meta]
-        self.q_tenant = [m[2] for m in q_meta]
-        q_tier = [m[3] for m in q_meta]
+        self.q_name = [m[0] for m in q_meta]
+        self.q_tenant = [m[1] for m in q_meta]
+        q_tier = [m[2] for m in q_meta]
         order = np.argsort(qid_np, kind="stable")
         counts = np.bincount(qid_np, minlength=nq).astype(np.int64)
         bounds = np.concatenate([[0], np.cumsum(counts)])
@@ -419,13 +278,7 @@ class _FastEngine:
         self.dev_free = [0.0] * nd
         self.dev_busy = [0.0] * nd
         self.dev_jobs = [0] * nd
-        if self.set_cache_ok:
-            self.caches = [SetKeyCache(sim.key_cache_bytes,
-                                       self.key_sets)
-                           for _ in range(nd)]
-        else:
-            self.caches = [KeyCache(sim.key_cache_bytes)
-                           for _ in range(nd)]
+        self.caches = key_caches(sim, scenario)
         self.free_heap = [(0.0, d) for d in range(nd)]
         heapq.heapify(self.free_heap)
 
@@ -562,11 +415,7 @@ class _FastEngine:
 
     def _load_preview(self, dev: int, qid: int, s: int,
                       nf: int) -> float:
-        tid = self.q_tid[qid]
-        if self.set_cache_ok:
-            tenant, keys = tid, self.s_setid[s]
-        else:
-            tenant, keys = self.tenant_names[tid], self.s_class[s]
+        tenant, keys = self.q_tenant[qid], self.s_class[s]
         caches, host = self.caches, self.host
         if nf <= 1:
             return key_load_seconds(
@@ -779,16 +628,13 @@ class _FastEngine:
         pcie_lat = self.pcie_lat
         s_secs = self.s_secs
         s_nf = self.s_nf
-        s_setid = self.s_setid
         s_class = self.s_class
         stream_np = self.stream_np
         q_jobs = self.q_jobs
-        q_tid = self.q_tid
         q_name = self.q_name
+        q_tenant = self.q_tenant
         dead_list = self.dead_list
         caches = self.caches
-        set_mode = self.set_cache_ok
-        tenant_names = self.tenant_names
         rec_sizes = self.rec_sizes
         rec_fin = self.rec_fin
         seen = self.seen_classes
@@ -848,29 +694,18 @@ class _FastEngine:
                     free = dev_free[extra]
                     if free > start:
                         start = free
-            tid = q_tid[qid]
+            tenant = q_tenant[qid]
+            jc = s_class[s]
             load_s = 0.0
             member_loads = [] if rec is not None else None
             # key_load_seconds inlined (same arithmetic): per-batch hot path.
-            if set_mode:
-                sid = s_setid[s]
-                for di in gang:
-                    miss = caches[di].request(tid, sid)
-                    load = miss / denom + pcie_lat if miss else 0.0
-                    if member_loads is not None:
-                        member_loads.append((di, load, miss))
-                    if load > load_s:
-                        load_s = load
-            else:
-                tenant = tenant_names[tid]
-                jc = s_class[s]
-                for di in gang:
-                    miss = caches[di].request(tenant, jc)
-                    load = miss / denom + pcie_lat if miss else 0.0
-                    if member_loads is not None:
-                        member_loads.append((di, load, miss))
-                    if load > load_s:
-                        load_s = load
+            for di in gang:
+                miss = caches[di].request(tenant, jc)
+                load = miss / denom + pcie_lat if miss else 0.0
+                if member_loads is not None:
+                    member_loads.append((di, load, miss))
+                if load > load_s:
+                    load_s = load
             compute_s = size * s_secs[s]
             service = launch + load_s + compute_s
             finish = start + service
@@ -900,7 +735,7 @@ class _FastEngine:
                             slo_met += 1
                 rec.batch(
                     start=start, finish=finish, job_class=name,
-                    tenant=self.q_tenant[qid], batch_size=size,
+                    tenant=tenant, batch_size=size,
                     launch_s=launch, members=member_loads,
                     cache_stats=tuple(caches[di].stats()
                                       for di in gang),
@@ -959,4 +794,4 @@ def run_fast(sim, scenario: Scenario, seed: int = 0,
     return engine.run()
 
 
-__all__ = ["SetKeyCache", "run_fast"]
+__all__ = ["run_fast"]

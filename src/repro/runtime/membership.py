@@ -76,6 +76,7 @@ from .serving import (
     KeyCache,
     Scenario,
     ServingReport,
+    key_caches,
     key_load_seconds,
     report_from_jobs,
 )
@@ -232,9 +233,6 @@ def run_with_ledger(
     jobs = scenario.generate(seed)
     policy = make_policy(policy)
     price = price if price is not None else PriceSignal.flat()
-    devices = [
-        DeviceState(i, KeyCache(sim.key_cache_bytes)) for i in range(sim.num_devices)
-    ]
     schedule = (
         FaultSchedule(make_fault_process(faults), sim.num_devices, seed)
         if faults is not None
@@ -247,6 +245,12 @@ def run_with_ledger(
     # Only a fault or a park evicts a key cache; a fixed pool never
     # needs the ledger's eviction flag re-armed.
     evicts = schedule is not None or scale is not None
+    # A board leaving the pool can re-plan a striped class onto another
+    # key set, which only the per-key cache tracks exactly.
+    devices = [
+        DeviceState(i, cache)
+        for i, cache in enumerate(key_caches(sim, scenario, pool_changes=evicts))
+    ]
     free_heap: List[Tuple[float, int]] = [(0.0, d.index) for d in devices]
     heapq.heapify(free_heap)
     completed: List[Job] = []
@@ -692,7 +696,10 @@ def run_with_ledger(
             if scale is not None:
                 catch_up(now)
             admit(now)
-        if schedule is not None:
+        # At now = inf every board deferred with work still queued: the
+        # policy only rejects what is left, and an unbounded fault
+        # timeline could never be settled up to inf.
+        if schedule is not None and now != math.inf:
             status = settle_board(device_index, now)
             if status == "dead":
                 continue

@@ -429,13 +429,17 @@ class KeyCache:
     pinned — they were all just touched, so they occupy the MRU end
     and are never evicted mid-request (residency may transiently
     exceed capacity when one working set outsizes the cache).
+
+    :meth:`request` is the one entry point of every cache class:
+    subclasses change how residency is tracked by overriding
+    :meth:`_load`, never the accounting around it.
     """
 
     def __init__(self, capacity_bytes: int):
         if capacity_bytes <= 0:
             raise ValueError("capacity_bytes must be positive")
         self.capacity_bytes = capacity_bytes
-        self._resident: "OrderedDict[Tuple[str, str], int]" = OrderedDict()
+        self._resident: "OrderedDict[Tuple, object]" = OrderedDict()
         self._resident_bytes = 0
         self.hits = 0
         self.misses = 0
@@ -457,6 +461,11 @@ class KeyCache:
 
     def request(self, tenant: str, job_class: JobClass) -> int:
         """Make a job's keys resident; returns bytes that must load."""
+        miss_bytes = self._load(tenant, job_class)
+        self.bytes_loaded += miss_bytes
+        return miss_bytes
+
+    def _load(self, tenant: str, job_class: JobClass) -> int:
         resident = self._resident
         bytes_per_key = job_class.bytes_per_key
         miss_bytes = 0
@@ -482,7 +491,6 @@ class KeyCache:
                 self._resident_bytes -= victim_bytes
                 self.evictions += 1
                 self.bytes_evicted += victim_bytes
-        self.bytes_loaded += miss_bytes
         return miss_bytes
 
     def drop_all(self) -> int:
@@ -519,6 +527,121 @@ class KeyCache:
             "bytes_evicted": self.bytes_evicted,
             "resident_bytes": self._resident_bytes,
         }
+
+
+class SetKeyCache(KeyCache):
+    """The same LRU, tracked a working set at a time.
+
+    A job class's switching keys are always requested together, so
+    per-key residency collapses to one ``(tenant, key_ids) ->
+    (resident-key count, bytes_per_key)`` entry: a set's resident keys
+    are always the newest suffix of its ``key_ids``, contiguous in LRU
+    order.  Eviction takes whole sets (or the oldest part of one) from
+    the LRU front, and every counter matches :class:`KeyCache`
+    request for request — ``drop_all`` too counts resident *keys* in
+    ``evictions``.  That holds whenever no tenant requests two
+    distinct key sets that overlap and each ``key_ids`` tuple has one
+    ``bytes_per_key``; :func:`key_caches` checks this once per run and
+    hands out per-key caches otherwise.
+    """
+
+    def peek_miss_bytes(self, tenant: str, job_class: JobClass) -> int:
+        held = self._resident.get((tenant, job_class.key_ids))
+        count = 0 if held is None else held[0]
+        return (len(job_class.key_ids) - count) * job_class.bytes_per_key
+
+    def _load(self, tenant: str, job_class: JobClass) -> int:
+        key_ids = job_class.key_ids
+        n_keys = len(key_ids)
+        bytes_per_key = job_class.bytes_per_key
+        entry = (tenant, key_ids)
+        resident = self._resident
+        held = resident.get(entry)
+        if held is None:
+            count = 0
+        else:
+            count = held[0]
+            resident.move_to_end(entry)
+            self.hits += count
+        missed = n_keys - count
+        if missed:
+            resident[entry] = (n_keys, bytes_per_key)
+            self.misses += missed
+            self._resident_bytes += missed * bytes_per_key
+        capacity = self.capacity_bytes
+        # The requesting set sits pinned at the MRU end; evict from the
+        # LRU front a set (or its oldest keys) at a time, exactly as
+        # the per-key loop evicts key by key.
+        while self._resident_bytes > capacity:
+            victim, (v_count, v_bytes) = next(iter(resident.items()))
+            if victim == entry:
+                break
+            if v_bytes == 0:
+                # Zero-byte keys free no space; the per-key loop pops
+                # them one by one and moves on.
+                del resident[victim]
+                self.evictions += v_count
+                continue
+            evict = min(v_count,
+                        -((capacity - self._resident_bytes) // v_bytes))
+            if evict == v_count:
+                del resident[victim]
+            else:
+                # The survivors keep the entry's LRU-front position.
+                resident[victim] = (v_count - evict, v_bytes)
+            self._resident_bytes -= evict * v_bytes
+            self.evictions += evict
+            self.bytes_evicted += evict * v_bytes
+        return missed * bytes_per_key
+
+    def drop_all(self) -> int:
+        dropped = self._resident_bytes
+        self.evictions += sum(count for count, _ in self._resident.values())
+        self.bytes_evicted += dropped
+        self._resident.clear()
+        self._resident_bytes = 0
+        return dropped
+
+
+def key_caches(sim, scenario: Scenario,
+               pool_changes: bool = False) -> List[KeyCache]:
+    """One empty key cache per board of ``sim`` for one run.
+
+    Working-set caches (:class:`SetKeyCache`) when they are exact for
+    ``scenario``, per-key :class:`KeyCache` otherwise.  They are not
+    exact when some tenant name requests two distinct, overlapping key
+    sets (names are ``prefix + index``, so streams with different
+    prefixes can still share a tenant), when one ``key_ids`` tuple
+    comes with two ``bytes_per_key`` or repeats a key, or when
+    ``pool_changes`` (faults or autoscaling) can re-plan a striped
+    class onto a narrower stripe with a different key set.
+    """
+    exact = _working_sets_exact(scenario.streams, pool_changes)
+    return [(SetKeyCache if exact else KeyCache)(sim.key_cache_bytes)
+            for _ in range(sim.num_devices)]
+
+
+def _working_sets_exact(streams: Sequence[Stream],
+                        pool_changes: bool) -> bool:
+    bytes_per_key: Dict[Tuple[str, ...], int] = {}
+    for stream in streams:
+        jc = stream.job_class
+        if (bytes_per_key.setdefault(jc.key_ids, jc.bytes_per_key)
+                != jc.bytes_per_key
+                or len(set(jc.key_ids)) != len(jc.key_ids)
+                or (pool_changes and jc.num_fpgas > 1)):
+            return False
+    for i, a in enumerate(streams):
+        for b in streams[i + 1:]:
+            keys_a, keys_b = a.job_class.key_ids, b.job_class.key_ids
+            if (keys_a != keys_b and not set(keys_a).isdisjoint(keys_b)
+                    and not _tenant_names(a).isdisjoint(_tenant_names(b))):
+                return False
+    return True
+
+
+def _tenant_names(stream: Stream) -> set:
+    return {f"{stream.tenant_prefix}{t}" for t in range(stream.num_tenants)}
 
 
 @dataclass

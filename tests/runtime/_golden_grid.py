@@ -9,7 +9,8 @@ Two grids, two golden files under ``tests/runtime/data/``:
   float-for-float.
 * ``golden_membership.json`` — DES runs whose pool membership moves:
   faults only, autoscaling only, and both, each under ``fifo`` and
-  ``edf`` at two seeds.  Every report field is pinned, so any drift in
+  ``edf`` at two seeds, plus the EDF-under-faults liveness input.
+  Every report field is pinned, so any drift in
   fault settlement, retry timing, drain arbitration or key residency
   on the membership path fails by name.
 
@@ -86,7 +87,9 @@ MEMBERSHIP_AUTOSCALE = dict(
 def membership_runs() -> Iterator[Tuple[str, Dict]]:
     """Yield ``(key, run_kwargs)`` pairs for the membership grid:
     {faults, autoscale, faults+autoscale} x {fifo, edf} x seeds 1, 2,
-    all on the DES (the only engine whose pool membership moves)."""
+    all on the DES (the only engine whose pool membership moves), plus
+    the EDF liveness input: faults at the default SLO load, where every
+    board once deferred to ``inf`` and the run never returned."""
     scenario = build_slo_scenario(num_devices=NUM_DEVICES,
                                   duration_s=MEMBERSHIP_DURATION_S,
                                   target_load=0.5, training_stripe=2)
@@ -101,6 +104,11 @@ def membership_runs() -> Iterator[Tuple[str, Dict]]:
                 yield (f"{mechanism}/{policy}/seed{seed}",
                        dict(scenario=scenario, seed=seed, policy=policy,
                             **options))
+    yield ("faults-liveness/edf/seed1",
+           dict(scenario=build_slo_scenario(
+                    num_devices=NUM_DEVICES,
+                    duration_s=MEMBERSHIP_DURATION_S),
+                seed=1, policy="edf", **MEMBERSHIP_FAULTS))
 
 
 def report_dict(run_kwargs: Dict) -> Dict:

@@ -4,8 +4,9 @@ The fast engine's correctness story is *exact equivalence* to the DES
 oracle on a shared arrival sequence — not statistical similarity.  The
 hypothesis suite here drives both engines across the policy x stripe x
 tenancy x load space and requires bit-identical reports; unit tests
-pin the working-set key cache to the per-key LRU, recorder event
-streams, and the engine-selection contract.
+pin the working-set key cache to the per-key LRU, the once-per-run
+choice between the two, recorder event streams, and the
+engine-selection contract.
 """
 
 import dataclasses
@@ -17,12 +18,12 @@ from hypothesis import strategies as st
 
 from repro.core import FabConfig
 from repro.obs import MetricsRecorder, TimelineRecorder
-from repro.runtime.fast_engine import SetKeyCache, run_fast
+from repro.runtime.fast_engine import run_fast
 from repro.runtime.policies import PriceSignal
 from repro.runtime.serving import (ENGINES, JobClass, KeyCache, Scenario,
-                                   ServingSimulator, Stream,
+                                   ServingSimulator, SetKeyCache, Stream,
                                    build_job_classes, build_scenarios,
-                                   build_slo_scenario)
+                                   build_slo_scenario, key_caches)
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +137,26 @@ class TestHypothesisParity:
         fast = simulator.run(scenario, seed=seed, engine="fast")
         assert_reports_identical(fast, des)
 
+    @pytest.mark.parametrize("policy", ["fifo", "edf"])
+    def test_tenant_names_collide_across_prefixes(self, config, policy):
+        """Prefix "t" with 12 tenants and prefix "t1" both name a
+        "t10" and a "t11", which request overlapping key sets; the
+        working-set check must go by tenant name, not by prefix."""
+        classes = build_job_classes(config)
+        training = classes["lr_training"]
+        scenario = Scenario("collide", 2.0, [
+            Stream(classes["lr_inference"], rate_per_s=300.0,
+                   num_tenants=12, tenant_prefix="t"),
+            Stream(training, rate_per_s=300.0, num_tenants=3,
+                   tenant_prefix="t1"),
+        ])
+        simulator = ServingSimulator(
+            config, num_devices=2, key_cache_bytes=2 * training.key_bytes)
+        des = simulator.run(scenario, seed=3, policy=policy)
+        fast = simulator.run(scenario, seed=3, policy=policy,
+                             engine="fast")
+        assert_reports_identical(fast, des)
+
 
 class TestRecorderParity:
     """Observation hooks fire identically from both engines."""
@@ -166,7 +187,7 @@ class TestRecorderParity:
 
 
 class TestSetKeyCache:
-    """The working-set LRU vs the per-key LRU, request for request."""
+    """The working-set LRU vs the per-key LRU, step for step."""
 
     CLASSES = [
         JobClass("a", cycles=1, key_ids=("a0", "a1", "a2"),
@@ -177,48 +198,115 @@ class TestSetKeyCache:
         JobClass("big", cycles=1,
                  key_ids=tuple(f"g{i}" for i in range(40)),
                  bytes_per_key=100),
+        JobClass("none", cycles=1, key_ids=(), bytes_per_key=100),
     ]
+    FIELDS = ("hits", "misses", "bytes_loaded", "evictions",
+              "bytes_evicted", "resident_bytes")
 
-    def _pair(self, capacity):
-        per_key = KeyCache(capacity)
-        sets = [(len(jc.key_ids), jc.bytes_per_key, jc.key_bytes)
-                for jc in self.CLASSES]
-        per_set = SetKeyCache(capacity, sets)
-        return per_key, per_set
+    def _drive(self, steps, capacity):
+        per_key, per_set = KeyCache(capacity), SetKeyCache(capacity)
+        for step in steps:
+            if step is None:
+                # A fault wipes the board's HBM.
+                assert per_set.drop_all() == per_key.drop_all()
+            else:
+                tenant, jc = f"t{step[0]}", self.CLASSES[step[1]]
+                assert (per_set.peek_miss_bytes(tenant, jc)
+                        == per_key.peek_miss_bytes(tenant, jc))
+                assert (per_set.request(tenant, jc)
+                        == per_key.request(tenant, jc))
+            key_stats, set_stats = per_key.stats(), per_set.stats()
+            for field in self.FIELDS:
+                assert key_stats[field] == set_stats[field], field
+            assert per_set.resident_bytes == per_key.resident_bytes
+            assert per_set.hit_rate == per_key.hit_rate
 
-    def _drive(self, requests, capacity):
-        per_key, per_set = self._pair(capacity)
-        for tenant, class_idx in requests:
-            jc = self.CLASSES[class_idx]
-            a = per_key.request(f"t{tenant}", jc)
-            b = per_set.request(tenant, class_idx)
-            assert a == b
-        key_stats = per_key.stats()
-        set_stats = per_set.stats()
-        for field in ("hits", "misses", "bytes_loaded", "evictions",
-                      "bytes_evicted", "resident_bytes"):
-            assert key_stats[field] == set_stats[field], field
-
-    @given(requests=st.lists(
-               st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    @given(steps=st.lists(
+               st.one_of(st.none(),
+                         st.tuples(st.integers(0, 3), st.integers(0, 4))),
                max_size=200),
            capacity=st.sampled_from([1, 350, 900, 2500, 10**6]))
     @settings(max_examples=60, deadline=None)
-    def test_equivalence(self, requests, capacity):
-        """Any request sequence — partial evictions, zero-byte keys,
-        and the oversized pinned set ("big" outsizes most capacities)
-        included — produces identical accounting."""
-        self._drive(requests, capacity)
+    def test_equivalence(self, steps, capacity):
+        """Any sequence of requests and fault wipes — partial
+        evictions, zero-byte keys, empty key sets and the oversized
+        pinned set ("big" outsizes most capacities) included — returns
+        the same bytes, previews the same misses and keeps every
+        counter equal."""
+        self._drive(steps, capacity)
 
     def test_peek_matches_request(self):
-        per_key, per_set = self._pair(900)
-        for tenant, class_idx in [(0, 0), (1, 1), (0, 3), (0, 0),
-                                  (1, 1), (2, 2)]:
-            jc = self.CLASSES[class_idx]
-            assert (per_set.peek_miss_bytes(tenant, class_idx)
-                    == per_key.peek_miss_bytes(f"t{tenant}", jc))
-            assert (per_set.request(tenant, class_idx)
-                    == per_key.request(f"t{tenant}", jc))
+        self._drive([(0, 0), (1, 1), (0, 3), (0, 0), None, (1, 1),
+                     (2, 2), (0, 0)], 900)
+
+
+class TestKeyCacheSelection:
+    """``key_caches`` picks working-set caches only where exact."""
+
+    @staticmethod
+    def _kind(scenario, pool_changes=False):
+        caches = key_caches(ServingSimulator(FabConfig(), num_devices=3),
+                            scenario, pool_changes=pool_changes)
+        assert len(caches) == 3
+        kinds = {type(cache) for cache in caches}
+        assert len(kinds) == 1
+        return kinds.pop()
+
+    @staticmethod
+    def _scenario(*streams):
+        return Scenario("select", 0.1, [
+            Stream(jc, rate_per_s=100.0, num_tenants=n, tenant_prefix=p)
+            for jc, n, p in streams])
+
+    def _overlapping(self, config):
+        classes = build_job_classes(config)
+        inference, training = (classes["lr_inference"],
+                               classes["lr_training"])
+        assert set(inference.key_ids) & set(training.key_ids)
+        return inference, training
+
+    def test_disjoint_prefixes_use_working_sets(self, config):
+        inference, training = self._overlapping(config)
+        assert self._kind(self._scenario(
+            (inference, 4, "user"), (training, 4, "trainer"))) \
+            is SetKeyCache
+
+    def test_overlapping_sets_under_one_name(self, config):
+        inference, training = self._overlapping(config)
+        assert self._kind(self._scenario(
+            (inference, 4, "user"), (training, 1, "user"))) is KeyCache
+
+    def test_names_collide_across_prefixes(self, config):
+        """Prefix "t" index 10 and prefix "t1" index 0 are both "t10"."""
+        inference, training = self._overlapping(config)
+        assert self._kind(self._scenario(
+            (inference, 11, "t"), (training, 3, "t1"))) is KeyCache
+        assert self._kind(self._scenario(
+            (inference, 10, "t"), (training, 3, "t1"))) is SetKeyCache
+
+    def test_same_key_ids_with_two_sizes(self):
+        small = JobClass("small", cycles=1, key_ids=("k0", "k1"),
+                         bytes_per_key=100)
+        large = dataclasses.replace(small, name="large",
+                                    bytes_per_key=200)
+        assert self._kind(self._scenario(
+            (small, 2, "a"), (large, 2, "b"))) is KeyCache
+        assert self._kind(self._scenario(
+            (small, 2, "a"), (small, 2, "b"))) is SetKeyCache
+
+    def test_repeated_key_id(self):
+        repeated = JobClass("rep", cycles=1, key_ids=("k0", "k0"),
+                            bytes_per_key=100)
+        assert self._kind(self._scenario((repeated, 1, "a"))) is KeyCache
+
+    def test_pool_changes_with_a_striped_class(self, config):
+        scenario = build_slo_scenario(config, num_devices=3,
+                                      duration_s=0.1, training_stripe=2)
+        assert self._kind(scenario) is SetKeyCache
+        assert self._kind(scenario, pool_changes=True) is KeyCache
+        unstriped = build_slo_scenario(config, num_devices=3,
+                                       duration_s=0.1)
+        assert self._kind(unstriped, pool_changes=True) is SetKeyCache
 
 
 class TestEngineContract:

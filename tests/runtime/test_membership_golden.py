@@ -3,7 +3,8 @@
 The fault-free suite pins the fixed pool; this one pins the DES runs
 whose pool membership moves — faults only, autoscaling only, and both
 under the ledger's arbitration rules — each under ``fifo`` and
-``edf`` at two seeds.  Every report field must match the golden
+``edf`` at two seeds, plus the EDF-under-faults input that once never
+returned.  Every report field must match the golden
 exactly (NaN percentiles of a class with no completions included), so
 drift anywhere on the membership path fails a named grid point.
 
@@ -54,7 +55,8 @@ def test_report_matches_golden(key, kwargs):
 
 
 def test_grid_exercises_every_mechanism():
-    assert len(POINTS) == len(GOLDEN) == 12
+    # 3 mechanisms x 2 policies x 2 seeds, plus the EDF liveness point.
+    assert len(POINTS) == len(GOLDEN) == 13
     for key, report in GOLDEN.items():
         mechanism = key.split("/")[0]
         if "faults" in mechanism:
