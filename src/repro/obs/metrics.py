@@ -195,13 +195,14 @@ class MetricsRecorder(Recorder):
               members: Sequence[MemberLoad],
               cache_stats: Sequence[Mapping[str, int]] = (),
               slo_met: int = 0, slo_total: int = 0,
-              cost: float = 0.0) -> None:
+              cost: float = 0.0, killed: bool = False) -> None:
         for board, load_s, miss_bytes in members:
             self._spread(self._busy.setdefault(board, []), start, finish)
             if miss_bytes:
                 self._add(self._load_bytes, start + launch_s,
                           float(miss_bytes))
-        self._add(self._jobs, finish, float(batch_size))
+        if not killed:
+            self._add(self._jobs, finish, float(batch_size))
         self._add(self._cost, finish, cost)
         if slo_total:
             self._add(self._slo_met, finish, float(slo_met))

@@ -72,12 +72,15 @@ class Recorder:
               members: Sequence[MemberLoad],
               cache_stats: Sequence[Mapping[str, int]] = (),
               slo_met: int = 0, slo_total: int = 0,
-              cost: float = 0.0) -> None:
+              cost: float = 0.0, killed: bool = False) -> None:
         """A batch serviced on a gang of boards over
         ``[start, finish]``.  ``members`` aligns with the gang
         (master first); ``cache_stats`` (when provided) aligns with
         ``members`` and snapshots each board's key cache *after* the
-        batch's key requests."""
+        batch's key requests.  ``killed`` marks a batch a board fault
+        aborted at ``finish``: its boards were busy, its keys loaded
+        and its cost paid, but none of its jobs completed (they went
+        to the retry policy)."""
 
     def defer(self, *, board: int, t: float, wake: float) -> None:
         """The policy left ``board`` idle at ``t``; the simulator

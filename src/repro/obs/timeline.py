@@ -176,7 +176,9 @@ class TimelineRecorder(Recorder):
               members: Sequence[MemberLoad],
               cache_stats: Sequence[Mapping[str, int]] = (),
               slo_met: int = 0, slo_total: int = 0,
-              cost: float = 0.0) -> None:
+              cost: float = 0.0, killed: bool = False) -> None:
+        # A killed batch draws like any other span; its abort shows as
+        # the ``batch_killed`` policy instant the simulator emits.
         gang = [board for board, _, _ in members]
         name = f"{job_class} x{batch_size}"
         self._finite(finish)  # advance the clamp clock past the batch

@@ -897,6 +897,7 @@ def run_with_ledger(
                         members=member_loads,
                         cache_stats=tuple(m.cache.stats() for m in gang),
                         cost=len(gang) * price.integral(start, fail_t),
+                        killed=True,
                     )
                     rec.policy_event(
                         t=fail_t,

@@ -202,3 +202,53 @@ def test_horizon_on_boundary_stays_in_final_window():
     assert len(data["windows"]["t0"]) == 4
     assert data["windows"]["jobs_done"][3] == 1
     assert sum(data["windows"]["jobs_done"]) == 1
+
+
+def _assert_integrates_back(data, report):
+    """Every additive series reconciles with the run's report."""
+    wins, w = data["windows"], data["window_s"]
+    for board, util in zip(data["boards"], wins["board_util"]):
+        assert sum(util) * w == pytest.approx(
+            data["device_busy_s"][board], rel=1e-9, abs=1e-12)
+    assert sum(wins["jobs_done"]) == report.jobs_done
+    assert sum(wins["key_bytes_loaded"]) == report.key_bytes_loaded
+    assert wins["cost_cum"][-1] == pytest.approx(
+        report.cost_price_units, rel=1e-12, abs=1e-15)
+
+
+@given(window_s=st.floats(min_value=1e-3, max_value=0.1),
+       seed=st.integers(min_value=0, max_value=31))
+@settings(max_examples=15, deadline=None)
+def test_series_integrate_back_under_faults_and_autoscale(window_s, seed):
+    """A batch a fault kills mid-flight still burns board time, key
+    loads and price, but completes no job: the jobs series must not
+    count it, or it overshoots ``report.jobs_done`` by the killed
+    batch sizes."""
+    scenario = build_slo_scenario(
+        CONFIG, num_devices=4, duration_s=0.3, target_load=0.6,
+        interactive_fraction=1.0).with_arrivals("diurnal:amplitude=0.9")
+    recorder = MetricsRecorder(window_s=window_s)
+    report = ServingSimulator(CONFIG, num_devices=4).run(
+        scenario, seed=seed, policy="edf", recorder=recorder,
+        faults="poisson:mtbf=0.1,mttr=0.02", retry="backoff:base=0.005",
+        autoscale="reactive:low=0.3,high=0.85,cooldown=0.02")
+    _assert_integrates_back(recorder.to_dict(), report)
+
+
+def test_killed_batches_complete_no_jobs():
+    """The perfbench ``serve_chaos`` input at seed 1 kills 21 batches;
+    counting them as completed put 13,145 jobs in the series against
+    the report's 13,097."""
+    scenario = build_slo_scenario(
+        CONFIG, duration_s=30.0, target_load=0.2,
+        interactive_fraction=1.0).with_arrivals("diurnal:amplitude=0.9")
+    recorder = MetricsRecorder(window_s=0.1)
+    report = ServingSimulator(CONFIG, num_devices=8).run(
+        scenario, seed=1, policy="edf", recorder=recorder,
+        faults="poisson:mtbf=4.0,mttr=0.02",
+        retry="backoff:base=0.005,jitter=0.25",
+        autoscale=("predictive:window=0.1,horizon=0.05,target=0.6,"
+                   "cooldown=0.02,avail=1+spare:n=1"))
+    assert report.failures == 21
+    assert report.jobs_done == 13_097
+    _assert_integrates_back(recorder.to_dict(), report)
