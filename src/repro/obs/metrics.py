@@ -17,6 +17,20 @@ fixed-width time windows and reports, per window:
 * **price** — the mean :class:`PriceSignal` level over the window and
   the cumulative price-units spent.
 
+The recorder is columnar.  A hook does no window arithmetic: it
+appends the event's raw columns to typed buffers (:mod:`array`) —
+``(t, value)`` for a point event such as a batch's jobs or cost,
+``(t0, t1, scale)`` for a busy or queue-depth span, one six-int pool
+aggregate per key-cache snapshot.  Every :data:`FLUSH_EVENTS` rows,
+at ``run_end``, and before any read, the buffers are bucketed into
+float64 window arrays in vectorized passes: :func:`window_indices` is
+:func:`window_index` over an array, each span expands into its window
+segments with the same float expressions as a window-by-window walk,
+and ``np.add.at`` adds each window's terms in event order.  So every
+series is bit-identical to adding event by event (the per-event
+oracle property in ``tests/obs/test_metrics_oracle.py``), and memory
+stays O(windows) however many events a run records.
+
 The artifact (:meth:`MetricsRecorder.save`) is plain JSON; ``repro
 timeline`` renders it as a terminal summary
 (:func:`repro.obs.render.render_metrics`).
@@ -26,12 +40,30 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .recorder import MemberLoad, Recorder
 
 _CACHE_KEYS = ("hits", "misses", "bytes_loaded", "evictions",
                "bytes_evicted", "resident_bytes")
+_NO_STATS = (0,) * len(_CACHE_KEYS)
+
+#: Buffered rows (points or spans) that trigger bucketing into the
+#: window arrays: memory stays O(windows) however long the run.
+FLUSH_EVENTS = 4096
+
+# Point series: one row of the point-window array each.
+(_JOBS, _COST, _SLO_MET, _SLO_TOTAL, _REJECTS, _LOAD_BYTES, _FAULTS,
+ _REPAIRS, _RESIZES, _LEDGER) = range(10)
+_POINT_SERIES = 10
+# Sample-and-hold series: the last level reported in a window wins.
+_HEALTHY, _PROVISIONED = range(2)
+_HOLD_SERIES = 2
+# Span row of the total queue depth (boards and queues follow).
+_QUEUE_ROW = 0
 
 
 def window_index(t: float, window_s: float) -> int:
@@ -56,9 +88,42 @@ def window_index(t: float, window_s: float) -> int:
     return i
 
 
-def _grow(series: List[float], index: int) -> None:
-    if index >= len(series):
-        series.extend([0.0] * (index + 1 - len(series)))
+def window_indices(t: np.ndarray, window_s: float) -> np.ndarray:
+    """:func:`window_index` over an array of instants, element for
+    element.
+
+    The quotient, the truncation and the ``256 * ulp`` bump run in the
+    same float64 arithmetic as the scalar form (``np.spacing`` is
+    ``math.ulp`` for the non-negative quotients seen here), and
+    ``t <= 0`` maps to window 0.
+    """
+    q = t / window_s
+    index = q.astype(np.int64)
+    index += (index + 1) - q <= 256.0 * np.spacing(q)
+    index[t <= 0.0] = 0
+    return index
+
+
+def _last_occurrence(keys: np.ndarray) -> np.ndarray:
+    """Positions of each distinct key's last occurrence."""
+    _, from_end = np.unique(keys[::-1], return_index=True)
+    return len(keys) - 1 - from_end
+
+
+def _fit(values: np.ndarray, shape: Tuple[int, ...],
+         fill: Any = 0) -> np.ndarray:
+    """``values`` grown (never shrunk) to ``shape``, padded with
+    ``fill``."""
+    if values.shape == shape:
+        return values
+    out = np.full(shape, fill, dtype=values.dtype)
+    out[tuple(slice(n) for n in values.shape)] = values
+    return out
+
+
+def _padded(values: np.ndarray, count: int) -> List[float]:
+    out = values[:count].tolist()
+    return out + [0.0] * (count - len(out))
 
 
 class MetricsRecorder(Recorder):
@@ -74,46 +139,46 @@ class MetricsRecorder(Recorder):
         self._track_queues = track_queues
         self._run_info: Dict[str, Any] = {}
         self._price: Optional[Any] = None
-        # window series (lists indexed by window, grown on demand)
-        self._busy: Dict[int, List[float]] = {}
-        self._load_bytes: List[float] = []
-        self._jobs: List[float] = []
-        self._slo_met: List[float] = []
-        self._slo_total: List[float] = []
-        self._rejects: List[float] = []
-        self._cost: List[float] = []
-        self._queue_area: List[float] = []
-        self._per_queue_area: Dict[str, List[float]] = {}
-        #: window -> pool-aggregate cache snapshot (last seen wins).
-        self._cache_snap: Dict[int, Dict[str, int]] = {}
-        self._cache_last: Dict[int, Mapping[str, int]] = {}
-        # queue-depth integration state
+        # Buffered event columns (see _new_buffers).  A hook that
+        # buffers a level or a snapshot also buffers a point, so the
+        # point and span buffers bound all four.
+        self._new_buffers()
+        # Window arrays, column capacity doubled on demand.
+        self._cap = 0
+        self._points = np.zeros((_POINT_SERIES, 0))
+        #: Windows each point series has touched (its list length).
+        self._point_len = np.zeros(_POINT_SERIES, dtype=np.int64)
+        self._areas = np.zeros((1, 0))
+        self._row_flushed = np.zeros(1, dtype=bool)
+        self._held = np.full((_HOLD_SERIES, 0), np.nan)
+        self._snaps = np.zeros((0, len(_CACHE_KEYS)), dtype=np.int64)
+        self._snapped = np.zeros(0, dtype=bool)
+        # Span rows: the total queue depth, then boards and
+        # "class/tenant" queues as they first appear.
+        self._rows = 1
+        self._board_rows: Dict[int, int] = {}
+        self._queue_rows: Dict[Tuple[str, str], int] = {}
+        self._queue_names: Dict[str, int] = {}
+        # Pool-aggregate key-cache counters: each board's last
+        # snapshot and their running (exact, integer) sum.
+        self._cache_last: Dict[int, List[int]] = {}
+        self._cache_agg = [0] * len(_CACHE_KEYS)
+        # queue-depth integration state: the last sample's total and
+        # nonzero (row, depth) pairs, open since _q_last_t.
         self._q_last_t = 0.0
         self._q_last_total = 0
-        self._q_last: Dict[Tuple[str, str], int] = {}
+        self._q_last: Sequence[Tuple[int, int]] = ()
         self.peak_queue_depth = 0
-        # fault-injection series: faults/repairs per window, plus a
-        # sample-and-hold healthy-board count (None until the first
-        # fault event reports one).
-        self._faults: List[float] = []
-        self._repairs: List[float] = []
-        self._healthy_snap: Dict[int, int] = {}
         self._fault_count = 0
         self._repair_count = 0
         self._min_healthy: Optional[int] = None
-        # autoscaler series: voluntary resizes per window plus a
-        # sample-and-hold provisioned-board count.
-        self._resizes: List[float] = []
-        self._provisioned_snap: Dict[int, int] = {}
         self._resize_count = 0
         self._scale_ups = 0
         self._scale_downs = 0
         self._min_provisioned: Optional[int] = None
-        # membership-ledger series: transitions per window, transition
-        # counts keyed "old->new", and a per-state board-seconds
-        # integral reconstructed from the transition stream (every
-        # board starts active at t=0).
-        self._ledger_events: List[float] = []
+        # membership-ledger state: transition counts keyed "old->new",
+        # and a per-state board-seconds integral reconstructed from
+        # the transition stream (every board starts active at t=0).
         self._ledger_transitions: Dict[str, int] = {}
         self._board_state: Dict[int, str] = {}
         self._board_state_since: Dict[int, float] = {}
@@ -123,10 +188,7 @@ class MetricsRecorder(Recorder):
         self._device_busy_s: Tuple[float, ...] = ()
         self._jobs_done = 0
 
-    # -- window helpers ------------------------------------------------
-
-    def _index(self, t: float) -> int:
-        return window_index(t, self.window_s)
+    # -- buffering -----------------------------------------------------
 
     def _finite(self, t: float) -> float:
         """Clamp a non-finite event time to the run's current edge.
@@ -140,33 +202,126 @@ class MetricsRecorder(Recorder):
             return t
         return max(self._max_t, self._q_last_t)
 
-    def _add(self, series: List[float], t: float, value: float) -> None:
-        index = self._index(t)
-        _grow(series, index)
-        series[index] += value
+    def _point(self, t: float, value: float, series: int) -> None:
+        self._pt_t.append(t)
+        self._pt_v.append(value)
+        self._pt_s.append(series)
         if t > self._max_t:
             self._max_t = t
 
-    def _spread(self, series: List[float], t0: float, t1: float,
-                scale: float = 1.0) -> None:
-        """Apportion ``scale`` * overlap-seconds of ``[t0, t1]`` into
-        each window it intersects (exact, so integrals reconstruct)."""
-        if t1 <= t0:
-            return
-        if t1 > self._max_t:
-            self._max_t = t1
+    def _hold(self, t: float, value: int, series: int) -> None:
+        self._hold_t.append(t)
+        self._hold_v.append(value)
+        self._hold_s.append(series)
+
+    def _board_row(self, board: int) -> int:
+        row = self._board_rows.get(board)
+        if row is None:
+            row = self._board_rows[board] = self._rows
+            self._rows += 1
+        return row
+
+    def _queue_row(self, key: Tuple[str, str]) -> int:
+        name = f"{key[0]}/{key[1]}"
+        row = self._queue_names.get(name)
+        if row is None:
+            row = self._queue_names[name] = self._rows
+            self._rows += 1
+        self._queue_rows[key] = row
+        return row
+
+    def _new_buffers(self) -> None:
+        """Empty event columns: points (t, value, series), spans (t0,
+        t1, scale, row), sample-and-hold levels (t, value, series) and
+        pool cache snapshots (t, six ints)."""
+        self._pt_t, self._pt_v, self._pt_s = \
+            array("d"), array("d"), array("b")
+        self._sp_t0, self._sp_t1, self._sp_v, self._sp_r = \
+            array("d"), array("d"), array("d"), array("q")
+        self._hold_t, self._hold_v, self._hold_s = \
+            array("d"), array("d"), array("b")
+        self._snap_t, self._snap_v = array("d"), array("q")
+
+    def _maybe_flush(self) -> None:
+        if (len(self._pt_t) >= FLUSH_EVENTS
+                or len(self._sp_t0) >= FLUSH_EVENTS):
+            self._flush()
+
+    # -- bucketing -----------------------------------------------------
+
+    def _reserve(self, windows: int) -> None:
+        """Grow the window arrays to ``windows`` columns (capacity
+        doubles) and to every span row registered so far."""
+        if windows > self._cap:
+            self._cap = max(windows, 2 * self._cap)
+        cap = self._cap
+        self._points = _fit(self._points, (_POINT_SERIES, cap))
+        self._areas = _fit(self._areas, (self._rows, cap))
+        self._row_flushed = _fit(self._row_flushed, (self._rows,))
+        self._held = _fit(self._held, (_HOLD_SERIES, cap), np.nan)
+        self._snaps = _fit(self._snaps, (cap, len(_CACHE_KEYS)))
+        self._snapped = _fit(self._snapped, (cap,))
+
+    def _flush(self) -> None:
+        """Bucket every buffered event into the window arrays.
+
+        Each window's terms are added in event order (``np.add.at`` is
+        unbuffered and in order), so every window sum is bit-identical
+        to adding event by event.
+        """
         w = self.window_s
-        index = self._index(t0)
-        _grow(series, self._index(t1))
-        while True:
-            hi = (index + 1) * w
-            seg = min(t1, hi) - max(t0, index * w)
-            if seg > 0:
-                _grow(series, index)
-                series[index] += seg * scale
-            if hi >= t1:
-                return
-            index += 1
+        self._reserve(0)
+        if self._pt_t:
+            win = window_indices(np.frombuffer(self._pt_t), w)
+            series = np.frombuffer(self._pt_s, dtype=np.int8).astype(
+                np.int64)
+            self._reserve(int(win.max()) + 1)
+            np.add.at(self._points.reshape(-1), series * self._cap + win,
+                      np.frombuffer(self._pt_v))
+            np.maximum.at(self._point_len, series, win + 1)
+        if self._sp_t0:
+            t0 = np.frombuffer(self._sp_t0)
+            t1 = np.frombuffer(self._sp_t1)
+            rows = np.frombuffer(self._sp_r, dtype=np.int64)
+            # A span covers windows first..last: last is the first
+            # window at or after first whose end reaches t1 (the
+            # window-by-window walk's stopping rule).
+            first = window_indices(t0, w)
+            last = np.maximum(first, window_indices(t1, w) - 1)
+            short = (last + 1) * w < t1
+            while short.any():
+                last += short
+                short = (last + 1) * w < t1
+            counts = last - first + 1
+            span = np.repeat(np.arange(len(counts)), counts)
+            win = (np.arange(len(span))
+                   - np.repeat(np.cumsum(counts) - counts, counts)
+                   + first[span])
+            seg = (np.minimum(t1[span], (win + 1) * w)
+                   - np.maximum(t0[span], win * w))
+            keep = seg > 0
+            span, win = span[keep], win[keep]
+            self._reserve(int(last.max()) + 1)
+            np.add.at(self._areas.reshape(-1), rows[span] * self._cap + win,
+                      seg[keep] * np.frombuffer(self._sp_v)[span])
+            self._row_flushed[rows] = True
+        if self._hold_t:
+            win = window_indices(np.frombuffer(self._hold_t), w)
+            self._reserve(int(win.max()) + 1)
+            keys = np.frombuffer(self._hold_s, dtype=np.int8).astype(
+                np.int64) * self._cap + win
+            at = _last_occurrence(keys)
+            self._held.reshape(-1)[keys[at]] = np.frombuffer(
+                self._hold_v)[at]
+        if self._snap_t:
+            win = window_indices(np.frombuffer(self._snap_t), w)
+            self._reserve(int(win.max()) + 1)
+            at = _last_occurrence(win)
+            snaps = np.frombuffer(self._snap_v, dtype=np.int64).reshape(
+                -1, len(_CACHE_KEYS))
+            self._snaps[win[at]] = snaps[at]
+            self._snapped[win[at]] = True
+        self._new_buffers()
 
     # -- Recorder hooks ------------------------------------------------
 
@@ -177,7 +332,7 @@ class MetricsRecorder(Recorder):
                           "policy": policy, "max_batch": max_batch}
         self._price = price
         for board in range(num_devices):
-            self._busy.setdefault(board, [])
+            self._board_row(board)
 
     def job_rejected(self, *, t: float, job_id: int, job_class: str,
                      tenant: str,
@@ -186,9 +341,9 @@ class MetricsRecorder(Recorder):
         # attainment in the window of the rejection decision (the
         # report's accounting, windowed).
         t = self._finite(t)
-        self._add(self._rejects, t, 1.0)
-        self._add(self._slo_total, t, 1.0)
-        _grow(self._slo_met, self._index(t))
+        self._point(t, 1.0, _REJECTS)
+        self._point(t, 1.0, _SLO_TOTAL)
+        self._maybe_flush()
 
     def batch(self, *, start: float, finish: float, job_class: str,
               tenant: str, batch_size: int, launch_s: float,
@@ -196,66 +351,85 @@ class MetricsRecorder(Recorder):
               cache_stats: Sequence[Mapping[str, int]] = (),
               slo_met: int = 0, slo_total: int = 0,
               cost: float = 0.0, killed: bool = False) -> None:
-        for board, load_s, miss_bytes in members:
-            self._spread(self._busy.setdefault(board, []), start, finish)
+        for board, _, miss_bytes in members:
+            row = self._board_rows.get(board) or self._board_row(board)
+            if finish > start:
+                self._sp_t0.append(start)
+                self._sp_t1.append(finish)
+                self._sp_v.append(1.0)
+                self._sp_r.append(row)
             if miss_bytes:
-                self._add(self._load_bytes, start + launch_s,
-                          float(miss_bytes))
+                self._point(start + launch_s, miss_bytes, _LOAD_BYTES)
+        # Jobs, cost and SLO counts all land at ``finish``.
+        pt_t, pt_v, pt_s = self._pt_t, self._pt_v, self._pt_s
         if not killed:
-            self._add(self._jobs, finish, float(batch_size))
-        self._add(self._cost, finish, cost)
+            pt_t.append(finish)
+            pt_v.append(batch_size)
+            pt_s.append(_JOBS)
+        pt_t.append(finish)
+        pt_v.append(cost)
+        pt_s.append(_COST)
         if slo_total:
-            self._add(self._slo_met, finish, float(slo_met))
-            self._add(self._slo_total, finish, float(slo_total))
+            pt_t.extend((finish, finish))
+            pt_v.extend((slo_met, slo_total))
+            pt_s.extend((_SLO_MET, _SLO_TOTAL))
+        if finish > self._max_t:
+            self._max_t = finish
         if cache_stats:
-            for member, stats in zip(members, cache_stats):
-                self._cache_last[member[0]] = stats
-            snap = {key: 0 for key in _CACHE_KEYS}
-            for stats in self._cache_last.values():
-                for key in _CACHE_KEYS:
-                    snap[key] += int(stats.get(key, 0))
-            self._cache_snap[self._index(finish)] = snap
+            agg = self._cache_agg
+            for (board, _, _), stats in zip(members, cache_stats):
+                new = [int(stats.get(key, 0)) for key in _CACHE_KEYS]
+                old = self._cache_last.get(board, _NO_STATS)
+                self._cache_last[board] = new
+                agg = [a + n - o for a, n, o in zip(agg, new, old)]
+            self._cache_agg = agg
+            self._snap_t.append(finish)
+            self._snap_v.extend(agg)
+        self._maybe_flush()
 
     def board_fault(self, *, t: float, board: int,
                     permanent: bool = False,
                     healthy: Optional[int] = None,
                     killed_batch: bool = False) -> None:
         t = self._finite(t)
-        self._add(self._faults, t, 1.0)
+        self._point(t, 1.0, _FAULTS)
         self._fault_count += 1
         if healthy is not None:
-            self._healthy_snap[self._index(t)] = healthy
+            self._hold(t, healthy, _HEALTHY)
             if (self._min_healthy is None
                     or healthy < self._min_healthy):
                 self._min_healthy = healthy
+        self._maybe_flush()
 
     def board_repair(self, *, t: float, board: int,
                      healthy: Optional[int] = None) -> None:
         t = self._finite(t)
-        self._add(self._repairs, t, 1.0)
+        self._point(t, 1.0, _REPAIRS)
         self._repair_count += 1
         if healthy is not None:
-            self._healthy_snap[self._index(t)] = healthy
+            self._hold(t, healthy, _HEALTHY)
+        self._maybe_flush()
 
     def pool_resize(self, *, t: float, board: int, direction: str,
                     provisioned: Optional[int] = None) -> None:
         t = self._finite(t)
-        self._add(self._resizes, t, 1.0)
+        self._point(t, 1.0, _RESIZES)
         self._resize_count += 1
         if direction == "up":
             self._scale_ups += 1
         else:
             self._scale_downs += 1
         if provisioned is not None:
-            self._provisioned_snap[self._index(t)] = provisioned
+            self._hold(t, provisioned, _PROVISIONED)
             if (self._min_provisioned is None
                     or provisioned < self._min_provisioned):
                 self._min_provisioned = provisioned
+        self._maybe_flush()
 
     def ledger_transition(self, *, t: float, board: int, old: str,
                           new: str) -> None:
         t = self._finite(t)
-        self._add(self._ledger_events, t, 1.0)
+        self._point(t, 1.0, _LEDGER)
         key = f"{old}->{new}"
         self._ledger_transitions[key] = (
             self._ledger_transitions.get(key, 0) + 1)
@@ -266,41 +440,51 @@ class MetricsRecorder(Recorder):
                 self._state_seconds.get(state, 0.0) + (t - since))
         self._board_state[board] = new
         self._board_state_since[board] = max(t, since)
+        self._maybe_flush()
 
     def queue_sample(self, *, t: float, total: int,
                      depths: Optional[Dict[Tuple[str, str], int]] = None
                      ) -> None:
-        self._flush_queue_area(self._finite(t))
+        self._close_queue_span(self._finite(t))
         self._q_last_total = total
         if total > self.peak_queue_depth:
             self.peak_queue_depth = total
-        if self._track_queues and depths is not None:
-            self._q_last = dict(depths)
+        if self._track_queues and depths:
+            rows = self._queue_rows
+            self._q_last = [(rows.get(key) or self._queue_row(key), depth)
+                            for key, depth in depths.items() if depth]
         else:
-            self._q_last = {}
+            self._q_last = ()
+        self._maybe_flush()
 
-    def _flush_queue_area(self, t: float) -> None:
+    def _close_queue_span(self, t: float) -> None:
+        """Buffer the depth spans of the last sample, open until
+        ``t``."""
         if t <= self._q_last_t:
-            self._q_last_t = max(self._q_last_t, t)
             return
+        t0 = self._q_last_t
         if self._q_last_total:
-            self._spread(self._queue_area, self._q_last_t, t,
-                         scale=float(self._q_last_total))
-        for (job_class, tenant), depth in self._q_last.items():
-            if depth:
-                series = self._per_queue_area.setdefault(
-                    f"{job_class}/{tenant}", [])
-                self._spread(series, self._q_last_t, t,
-                             scale=float(depth))
+            self._sp_t0.append(t0)
+            self._sp_t1.append(t)
+            self._sp_v.append(self._q_last_total)
+            self._sp_r.append(_QUEUE_ROW)
+        for row, depth in self._q_last:
+            self._sp_t0.append(t0)
+            self._sp_t1.append(t)
+            self._sp_v.append(depth)
+            self._sp_r.append(row)
+        if (self._q_last_total or self._q_last) and t > self._max_t:
+            self._max_t = t
         self._q_last_t = t
 
     def run_end(self, *, makespan_s: float,
                 device_busy_s: Sequence[float] = (),
                 jobs_done: int = 0) -> None:
-        self._flush_queue_area(max(makespan_s, self._q_last_t))
+        self._close_queue_span(max(makespan_s, self._q_last_t))
         self._makespan_s = makespan_s
         self._device_busy_s = tuple(device_busy_s)
         self._jobs_done = jobs_done
+        self._flush()
 
     # -- assembly ------------------------------------------------------
 
@@ -333,25 +517,45 @@ class MetricsRecorder(Recorder):
         horizon = max(self._makespan_s, self._max_t)
         if horizon <= 0:
             return 1
-        return self._index(horizon) + 1
+        return window_index(horizon, self.window_s) + 1
 
-    def _padded(self, series: List[float], count: int) -> List[float]:
-        return series + [0.0] * (count - len(series))
+    def _series(self, series: int, count: int) -> List[float]:
+        return _padded(self._points[series], count)
+
+    def _total(self, series: int) -> float:
+        # Built-in sum over the windows the series touched: the same
+        # value (and the same int 0 for an untouched series) as
+        # summing the per-event window list.
+        return sum(self._points[series,
+                                :self._point_len[series]].tolist())
+
+    def _levels(self, series: int, count: int) -> List[Optional[float]]:
+        """Sample-and-hold: between events the level is whatever the
+        last event reported (the full pool before the first one)."""
+        held = self._held[series, :count].tolist()
+        out: List[Optional[float]] = []
+        level = self._run_info.get("num_devices")
+        level = float(level) if level is not None else None
+        for index in range(count):
+            if index < len(held) and not math.isnan(held[index]):
+                level = held[index]
+            out.append(level)
+        return out
 
     def to_dict(self) -> Dict[str, Any]:
+        self._flush()
         count = self.num_windows
         w = self.window_s
-        boards = sorted(self._busy)
-        board_util = [
-            [value / w for value in self._padded(self._busy[b], count)]
-            for b in boards]
-        queue_depth = [area / w
-                       for area in self._padded(self._queue_area, count)]
+        boards = sorted(self._board_rows)
+        board_util = [_padded(self._areas[self._board_rows[b]] / w, count)
+                      for b in boards]
+        queue_depth = _padded(self._areas[_QUEUE_ROW] / w, count)
         per_queue = {
-            name: [area / w for area in self._padded(series, count)]
-            for name, series in sorted(self._per_queue_area.items())}
-        slo_met = self._padded(self._slo_met, count)
-        slo_total = self._padded(self._slo_total, count)
+            name: _padded(self._areas[row] / w, count)
+            for name, row in sorted(self._queue_names.items())
+            if self._row_flushed[row]}
+        slo_met = self._series(_SLO_MET, count)
+        slo_total = self._series(_SLO_TOTAL, count)
         rolling: List[Optional[float]] = []
         met_cum = total_cum = 0.0
         for met, total in zip(slo_met, slo_total):
@@ -360,7 +564,7 @@ class MetricsRecorder(Recorder):
             rolling.append(met_cum / total_cum if total_cum else None)
         cost_cum: List[float] = []
         spent = 0.0
-        for value in self._padded(self._cost, count):
+        for value in self._series(_COST, count):
             spent += value
             cost_cum.append(spent)
         price_mean = None
@@ -373,15 +577,17 @@ class MetricsRecorder(Recorder):
         cache: Dict[str, List[Optional[float]]] = {
             key: [] for key in _CACHE_KEYS}
         hit_rate: List[Optional[float]] = []
-        last: Optional[Dict[str, int]] = None
+        snaps = self._snaps[:count].tolist()
+        snapped = self._snapped[:count].tolist()
+        last: Optional[List[int]] = None
         for index in range(count):
-            last = self._cache_snap.get(index, last)
-            for key in _CACHE_KEYS:
-                cache[key].append(
-                    float(last[key]) if last is not None else None)
-            if last is not None and (last["hits"] + last["misses"]):
-                hit_rate.append(
-                    last["hits"] / (last["hits"] + last["misses"]))
+            if index < len(snapped) and snapped[index]:
+                last = snaps[index]
+            for key, value in zip(_CACHE_KEYS, last or _NO_STATS):
+                cache[key].append(float(value) if last is not None
+                                  else None)
+            if last is not None and (last[0] + last[1]):
+                hit_rate.append(last[0] / (last[0] + last[1]))
             else:
                 hit_rate.append(None)
         windows: Dict[str, Any] = {
@@ -389,48 +595,30 @@ class MetricsRecorder(Recorder):
             "board_util": board_util,
             "queue_depth": queue_depth,
             "per_queue_depth": per_queue,
-            "jobs_done": self._padded(self._jobs, count),
-            "key_bytes_loaded": self._padded(self._load_bytes, count),
+            "jobs_done": self._series(_JOBS, count),
+            "key_bytes_loaded": self._series(_LOAD_BYTES, count),
             "key_hit_rate": hit_rate,
             "key_resident_bytes": cache["resident_bytes"],
             "key_bytes_evicted": cache["bytes_evicted"],
             "slo_met": slo_met,
             "slo_total": slo_total,
             "slo_rolling": rolling,
-            "rejections": self._padded(self._rejects, count),
+            "rejections": self._series(_REJECTS, count),
             "cost_cum": cost_cum,
         }
         if price_mean is not None:
             windows["price_mean"] = price_mean
         if self._fault_count or self._repair_count:
-            windows["board_faults"] = self._padded(self._faults, count)
-            windows["board_repairs"] = self._padded(self._repairs,
-                                                    count)
-            # Sample-and-hold: between fault events the pool size is
-            # whatever the last event reported (full pool before the
-            # first fault).
-            healthy_series: List[Optional[float]] = []
-            level: Optional[int] = self._run_info.get("num_devices")
-            for index in range(count):
-                level = self._healthy_snap.get(index, level)
-                healthy_series.append(
-                    float(level) if level is not None else None)
-            windows["healthy_boards"] = healthy_series
+            windows["board_faults"] = self._series(_FAULTS, count)
+            windows["board_repairs"] = self._series(_REPAIRS, count)
+            windows["healthy_boards"] = self._levels(_HEALTHY, count)
         if self._resize_count:
-            windows["pool_resizes"] = self._padded(self._resizes, count)
-            # Sample-and-hold like healthy_boards: between resize
-            # events capacity is whatever the last event left behind
-            # (the full pool before the first resize).
-            provisioned_series: List[Optional[float]] = []
-            level = self._run_info.get("num_devices")
-            for index in range(count):
-                level = self._provisioned_snap.get(index, level)
-                provisioned_series.append(
-                    float(level) if level is not None else None)
-            windows["provisioned_boards"] = provisioned_series
+            windows["pool_resizes"] = self._series(_RESIZES, count)
+            # Capacity actually paid for, held like healthy_boards.
+            windows["provisioned_boards"] = self._levels(_PROVISIONED,
+                                                         count)
         if self._ledger_transitions:
-            windows["ledger_transitions"] = self._padded(
-                self._ledger_events, count)
+            windows["ledger_transitions"] = self._series(_LEDGER, count)
         return {
             "meta": dict(self._meta),
             **self._run_info,
@@ -446,19 +634,21 @@ class MetricsRecorder(Recorder):
 
     def summary(self) -> Dict[str, Any]:
         """Scalar roll-up (what sweep grid points attach)."""
-        busy = sum(sum(series) for series in self._busy.values())
-        capacity = self._makespan_s * max(len(self._busy), 1)
-        met = sum(self._slo_met)
-        total = sum(self._slo_total)
+        self._flush()
+        busy = sum(sum(self._areas[row].tolist())
+                   for row in self._board_rows.values())
+        capacity = self._makespan_s * max(len(self._board_rows), 1)
+        met = self._total(_SLO_MET)
+        total = self._total(_SLO_TOTAL)
         return {
             "makespan_s": self._makespan_s,
             "jobs_done": self._jobs_done,
             "mean_util": busy / capacity if capacity else 0.0,
             "peak_queue_depth": self.peak_queue_depth,
             "slo_attainment": met / total if total else None,
-            "cost_price_units": sum(self._cost),
-            "key_bytes_loaded": sum(self._load_bytes),
-            "rejections": int(sum(self._rejects)),
+            "cost_price_units": self._total(_COST),
+            "key_bytes_loaded": self._total(_LOAD_BYTES),
+            "rejections": int(self._total(_REJECTS)),
             "board_faults": self._fault_count,
             "board_repairs": self._repair_count,
             "min_healthy_boards": self._min_healthy,

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.params import FabConfig
-from repro.obs import MetricsRecorder, window_index
+from repro.obs import MetricsRecorder, TimelineRecorder, compose, window_index
 from repro.runtime.policies import PriceSignal
 from repro.runtime.serving import (JobClass, Scenario, ServingSimulator,
                                    Stream, build_slo_scenario)
@@ -252,3 +252,25 @@ def test_killed_batches_complete_no_jobs():
     assert report.failures == 21
     assert report.jobs_done == 13_097
     _assert_integrates_back(recorder.to_dict(), report)
+
+
+def test_killed_flag_reaches_every_recorder_through_compose():
+    """``compose`` fans the flag out with the other keywords: the
+    metrics series drops the killed batch's jobs, and the timeline
+    still draws its span."""
+    metrics = MetricsRecorder(window_s=0.1)
+    timeline = TimelineRecorder()
+    rec = compose(metrics, timeline)
+    rec.run_begin(scenario="s", num_devices=1, policy="fifo")
+    for killed in (False, True):
+        rec.batch(start=0.0, finish=0.05, job_class="a", tenant="t0",
+                  batch_size=3, launch_s=0.0, members=((0, 0.0, 0),),
+                  cost=1.0, killed=killed)
+    rec.run_end(makespan_s=0.05, device_busy_s=(0.1,), jobs_done=3)
+    wins = metrics.to_dict()["windows"]
+    assert wins["jobs_done"] == [3.0]
+    assert wins["cost_cum"] == [2.0]
+    assert wins["board_util"] == [[1.0]]
+    spans = [e for e in timeline.to_dict()["traceEvents"]
+             if e.get("name") == "a x3" and e.get("ph") == "B"]
+    assert len(spans) == 2
