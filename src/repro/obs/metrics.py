@@ -352,7 +352,7 @@ class MetricsRecorder(Recorder):
               slo_met: int = 0, slo_total: int = 0,
               cost: float = 0.0, killed: bool = False) -> None:
         for board, _, miss_bytes in members:
-            row = self._board_rows.get(board) or self._board_row(board)
+            row = self._board_row(board)
             if finish > start:
                 self._sp_t0.append(start)
                 self._sp_t1.append(finish)
@@ -360,21 +360,12 @@ class MetricsRecorder(Recorder):
                 self._sp_r.append(row)
             if miss_bytes:
                 self._point(start + launch_s, miss_bytes, _LOAD_BYTES)
-        # Jobs, cost and SLO counts all land at ``finish``.
-        pt_t, pt_v, pt_s = self._pt_t, self._pt_v, self._pt_s
         if not killed:
-            pt_t.append(finish)
-            pt_v.append(batch_size)
-            pt_s.append(_JOBS)
-        pt_t.append(finish)
-        pt_v.append(cost)
-        pt_s.append(_COST)
+            self._point(finish, batch_size, _JOBS)
+        self._point(finish, cost, _COST)
         if slo_total:
-            pt_t.extend((finish, finish))
-            pt_v.extend((slo_met, slo_total))
-            pt_s.extend((_SLO_MET, _SLO_TOTAL))
-        if finish > self._max_t:
-            self._max_t = finish
+            self._point(finish, slo_met, _SLO_MET)
+            self._point(finish, slo_total, _SLO_TOTAL)
         if cache_stats:
             agg = self._cache_agg
             for (board, _, _), stats in zip(members, cache_stats):
