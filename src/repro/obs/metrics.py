@@ -121,6 +121,14 @@ def _fit(values: np.ndarray, shape: Tuple[int, ...],
     return out
 
 
+def _sum(values: np.ndarray) -> float:
+    """Left-to-right sum: term for term what built-in ``sum`` returns
+    for ``values.tolist()``, int 0 for no terms included.
+    ``np.add.accumulate`` adds in order, where ``np.sum`` adds
+    pairwise and would round differently."""
+    return float(np.add.accumulate(values)[-1]) if len(values) else 0
+
+
 def _padded(values: np.ndarray, count: int) -> List[float]:
     out = values[:count].tolist()
     return out + [0.0] * (count - len(out))
@@ -514,11 +522,10 @@ class MetricsRecorder(Recorder):
         return _padded(self._points[series], count)
 
     def _total(self, series: int) -> float:
-        # Built-in sum over the windows the series touched: the same
-        # value (and the same int 0 for an untouched series) as
-        # summing the per-event window list.
-        return sum(self._points[series,
-                                :self._point_len[series]].tolist())
+        # Over the windows the series touched: the same value (and the
+        # same int 0 for an untouched series) as summing the per-event
+        # window list.
+        return _sum(self._points[series, :self._point_len[series]])
 
     def _levels(self, series: int, count: int) -> List[Optional[float]]:
         """Sample-and-hold: between events the level is whatever the
@@ -626,7 +633,7 @@ class MetricsRecorder(Recorder):
     def summary(self) -> Dict[str, Any]:
         """Scalar roll-up (what sweep grid points attach)."""
         self._flush()
-        busy = sum(sum(self._areas[row].tolist())
+        busy = sum(_sum(self._areas[row])
                    for row in self._board_rows.values())
         capacity = self._makespan_s * max(len(self._board_rows), 1)
         met = self._total(_SLO_MET)
