@@ -4,8 +4,10 @@ The central property (hypothesis-driven): per-board utilization is
 busy-seconds apportioned *exactly* across windows, so summing a
 board's utilization series times the window width reconstructs its
 ``DeviceState.busy_s`` to float round-off — for any window width,
-scenario shape, and seed.  The same exactness holds for the cost and
-key-traffic series against the run report.
+scenario shape, and seed.  The same exactness holds for the jobs,
+cost and key-traffic series against the run report, under faults and
+autoscaling too, where a killed batch burns board time, key loads and
+price but completes no job.
 """
 
 import math
@@ -38,6 +40,18 @@ def _toy_scenario(rate_scale: float, tenants: int,
     ])
 
 
+def _assert_integrates_back(data, report):
+    """Every additive series reconciles with the run's report."""
+    wins, w = data["windows"], data["window_s"]
+    for board, util in zip(data["boards"], wins["board_util"]):
+        assert sum(util) * w == pytest.approx(
+            data["device_busy_s"][board], rel=1e-9, abs=1e-12)
+    assert sum(wins["jobs_done"]) == report.jobs_done
+    assert sum(wins["key_bytes_loaded"]) == report.key_bytes_loaded
+    assert wins["cost_cum"][-1] == pytest.approx(
+        report.cost_price_units, rel=1e-12, abs=1e-15)
+
+
 @given(window_s=st.floats(min_value=1e-4, max_value=0.2),
        rate_scale=st.floats(min_value=0.5, max_value=4.0),
        tenants=st.integers(min_value=1, max_value=6),
@@ -53,20 +67,10 @@ def test_utilization_integrates_to_busy_time(window_s, rate_scale,
     report = simulator.run(_toy_scenario(rate_scale, tenants, 0.05),
                            seed=seed, recorder=recorder)
     data = recorder.to_dict()
-    w = data["window_s"]
-    busy = data["device_busy_s"]
     assert len(data["boards"]) == devices
-    for board, util in zip(data["boards"], data["windows"]["board_util"]):
-        integral = sum(util) * w
-        truth = busy[board]
-        assert integral == pytest.approx(truth, rel=1e-9, abs=1e-12)
-        assert all(u >= 0 for u in util)
-    # Cost and key-traffic series reconcile with the report exactly.
-    assert sum(data["windows"]["jobs_done"]) == report.jobs_done
-    assert sum(data["windows"]["key_bytes_loaded"]) == \
-        report.key_bytes_loaded
-    assert data["windows"]["cost_cum"][-1] == \
-        pytest.approx(report.cost_price_units, rel=1e-12, abs=1e-15)
+    assert all(u >= 0 for util in data["windows"]["board_util"]
+               for u in util)
+    _assert_integrates_back(data, report)
     assert data["makespan_s"] == report.makespan_s
     assert data["num_windows"] == len(data["windows"]["t0"])
 
@@ -202,18 +206,6 @@ def test_horizon_on_boundary_stays_in_final_window():
     assert len(data["windows"]["t0"]) == 4
     assert data["windows"]["jobs_done"][3] == 1
     assert sum(data["windows"]["jobs_done"]) == 1
-
-
-def _assert_integrates_back(data, report):
-    """Every additive series reconciles with the run's report."""
-    wins, w = data["windows"], data["window_s"]
-    for board, util in zip(data["boards"], wins["board_util"]):
-        assert sum(util) * w == pytest.approx(
-            data["device_busy_s"][board], rel=1e-9, abs=1e-12)
-    assert sum(wins["jobs_done"]) == report.jobs_done
-    assert sum(wins["key_bytes_loaded"]) == report.key_bytes_loaded
-    assert wins["cost_cum"][-1] == pytest.approx(
-        report.cost_price_units, rel=1e-12, abs=1e-15)
 
 
 @given(window_s=st.floats(min_value=1e-3, max_value=0.1),
