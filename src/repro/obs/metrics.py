@@ -122,10 +122,10 @@ def _fit(values: np.ndarray, shape: Tuple[int, ...],
 
 
 def _sum(values: np.ndarray) -> float:
-    """Left-to-right sum: term for term what built-in ``sum`` returns
-    for ``values.tolist()``, int 0 for no terms included.
-    ``np.add.accumulate`` adds in order, where ``np.sum`` adds
-    pairwise and would round differently."""
+    """Left-to-right sum: what built-in ``sum`` returns for
+    ``values.tolist()``, including int 0 for an empty array.
+    ``np.add.accumulate`` adds in order; ``np.sum`` adds pairwise and
+    would round differently."""
     return float(np.add.accumulate(values)[-1]) if len(values) else 0
 
 
