@@ -44,7 +44,7 @@ QUEUES = [(job_class, tenant) for job_class in ("a", "b")
 
 @st.composite
 def hook_streams(draw):
-    """``(window_s, num_devices, events)``: a run_begin, a random mix
+    """``(window_s, events)``: a run_begin, a random mix
     of every consumed hook, then a run_end."""
     w = draw(st.sampled_from([0.1, 0.013, 1.0, 0.3])
              | st.floats(min_value=1e-3, max_value=2.0))
