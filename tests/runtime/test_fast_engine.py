@@ -23,7 +23,8 @@ from repro.runtime.policies import PriceSignal
 from repro.runtime.serving import (ENGINES, JobClass, KeyCache, Scenario,
                                    ServingSimulator, SetKeyCache, Stream,
                                    build_job_classes, build_scenarios,
-                                   build_slo_scenario, key_caches)
+                                   build_slo_scenario,
+                                   default_interactive_slo_ms, key_caches)
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +112,65 @@ class TestHypothesisParity:
                             price=price)
         fast = simulator.run(scenario, seed=seed, policy=policy,
                              price=price, engine="fast")
+        assert_reports_identical(fast, des)
+
+    @given(policy=st.sampled_from(["edf", "deferrable-window"]),
+           seed=st.integers(0, 10_000),
+           load=st.floats(0.5, 1.6),
+           max_batch=st.integers(4, 12),
+           devices=st.integers(1, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_queues_with_decreasing_deadlines(self, config, policy, seed,
+                                              load, max_batch, devices):
+        """Two streams of one class under one tenant prefix with
+        different SLOs (and a deferrable pair with different windows)
+        share their queues, so a later job can carry a tighter
+        deadline than the jobs ahead of it and admission must trim to
+        the prefix minimum, not the head's deadline."""
+        classes = build_job_classes(config)
+        inference, analytics = (classes["lr_inference"],
+                                classes["analytics"])
+        slo_ms = default_interactive_slo_ms(inference, config)
+        duration = 0.15
+
+        def rate(job_class, share):
+            return load * share * devices / job_class.seconds(config)
+
+        streams = [
+            Stream(inference, rate(inference, 0.35), num_tenants=2,
+                   tenant_prefix="user", slo_ms=slo_ms),
+            Stream(inference, rate(inference, 0.35), num_tenants=2,
+                   tenant_prefix="user", slo_ms=2.5 * slo_ms),
+            Stream(analytics, rate(analytics, 0.15), num_tenants=2,
+                   tenant_prefix="batch", deferrable=True,
+                   window_s=duration),
+            Stream(analytics, rate(analytics, 0.15), num_tenants=2,
+                   tenant_prefix="batch", deferrable=True,
+                   window_s=duration / 4),
+        ]
+        scenario = Scenario("decreasing", duration, streams)
+        # Guard against a vacuous pass: some queue must really see a
+        # job whose deadline is tighter than the one ahead of it.
+        last: dict = {}
+        decreases = 0
+        for chunk in scenario.arrivals(seed):
+            for t, s, tenant in zip(chunk.arrival_s.tolist(),
+                                    chunk.stream_index.tolist(),
+                                    chunk.tenant_index.tolist()):
+                stream = streams[s]
+                deadline = t + (stream.slo_ms / 1e3
+                                if stream.slo_ms is not None
+                                else stream.window_s)
+                key = (stream.job_class.name, tenant)
+                if deadline < last.get(key, math.inf):
+                    decreases += 1
+                last[key] = deadline
+        assert decreases > 0
+        simulator = ServingSimulator(config, num_devices=devices,
+                                     max_batch=max_batch)
+        des = simulator.run(scenario, seed=seed, policy=policy)
+        fast = simulator.run(scenario, seed=seed, policy=policy,
+                             engine="fast")
         assert_reports_identical(fast, des)
 
     @given(seed=st.integers(0, 10_000))
