@@ -12,13 +12,14 @@ engine-selection contract.
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import FabConfig
 from repro.obs import MetricsRecorder, TimelineRecorder
-from repro.runtime.fast_engine import run_fast
+from repro.runtime.fast_engine import _tighter_breakpoints, run_fast
 from repro.runtime.policies import PriceSignal
 from repro.runtime.serving import (ENGINES, JobClass, KeyCache, Scenario,
                                    ServingSimulator, SetKeyCache, Stream,
@@ -216,6 +217,79 @@ class TestHypothesisParity:
         fast = simulator.run(scenario, seed=3, policy=policy,
                              engine="fast")
         assert_reports_identical(fast, des)
+
+    @pytest.mark.parametrize("policy",
+                             ["fifo", "edf", "deferrable-window"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_unequal_classes_share_a_name(self, config, policy, seed):
+        """Queues are keyed by class *name*: two streams whose classes
+        share a name but not cycles or stripe width feed one queue,
+        and each batch is priced by its head job's own class."""
+        base = build_job_classes(config)["lr_inference"]
+        wide = dataclasses.replace(base, cycles=3 * base.cycles,
+                                   num_fpgas=2)
+        slo_ms = default_interactive_slo_ms(base, config)
+        scenario = Scenario("one-name", 0.3, [
+            Stream(base, rate_per_s=500.0, num_tenants=2,
+                   tenant_prefix="user", slo_ms=slo_ms),
+            Stream(wide, rate_per_s=150.0, num_tenants=2,
+                   tenant_prefix="user", slo_ms=2 * slo_ms),
+        ])
+        simulator = ServingSimulator(config, num_devices=4, max_batch=6)
+        des = simulator.run(scenario, seed=seed, policy=policy)
+        fast = simulator.run(scenario, seed=seed, policy=policy,
+                             engine="fast")
+        assert des.jobs_done > 0
+        assert_reports_identical(fast, des)
+
+
+class TestTighterBreakpoints:
+    """The per-queue "next strictly tighter deadline" array that
+    admission walks instead of scanning every queued job."""
+
+    @given(queues=st.lists(
+        st.one_of(
+            st.lists(st.sampled_from([0.5, 1.0, 1.0, 2.0, math.inf]),
+                     max_size=24),
+            st.lists(st.floats(0.0, 10.0), max_size=24),
+            st.lists(st.just(math.inf), max_size=8)),
+        min_size=1, max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brute_force_prefix_minimum(self, queues):
+        deadlines = np.asarray([d for q in queues for d in q],
+                               dtype=np.float64)
+        bounds = np.cumsum([0] + [len(q) for q in queues])
+        brk = _tighter_breakpoints(deadlines, bounds)
+        for q, dead in enumerate(queues):
+            chain = brk[bounds[q]:bounds[q + 1]].tolist()
+            assert len(chain) == len(dead)
+            for pos in range(len(dead)):
+                # The definition: first strictly tighter later job.
+                later = [j for j in range(pos + 1, len(dead))
+                         if dead[j] < dead[pos]]
+                assert chain[pos] == (later[0] if later else len(dead))
+                # What admission relies on: the chain from pos visits
+                # exactly the positions where the prefix minimum of
+                # dead[pos:] drops, so its last stop inside a batch
+                # holds the batch's tightest deadline.
+                drops, tight = [pos], dead[pos]
+                for j in range(pos + 1, len(dead)):
+                    if dead[j] < tight:
+                        drops.append(j)
+                        tight = dead[j]
+                walk = [pos]
+                while chain[walk[-1]] < len(dead):
+                    walk.append(chain[walk[-1]])
+                assert walk == drops
+                for size in range(1, len(dead) - pos + 1):
+                    last = max(b for b in walk if b < pos + size)
+                    assert dead[last] == min(dead[pos:pos + size])
+
+    def test_monotone_queues_have_no_breakpoints(self):
+        deadlines = np.asarray([1.0, 1.0, 2.0, 3.0, 0.5, 0.5, 4.0,
+                                math.inf, math.inf])
+        brk = _tighter_breakpoints(deadlines, np.asarray([0, 4, 7, 9]))
+        assert brk.tolist() == [4, 4, 4, 4, 3, 3, 3, 2, 2]
 
 
 class TestRecorderParity:
