@@ -127,14 +127,12 @@ class _QueueDomain:
         self.code = 0
         self.ready: List[Tuple] = []
         self.act: List[Tuple[float, int, int]] = []
-        #: All of this domain's arrivals, ascending (for ``pending``).
+        #: All of this domain's arrivals, ascending (``arrived`` is
+        #: a bisect on it).
         self.times: List[float] = []
         self.consumed = 0
         self.arrived = 0
         self.qids: List[int] = []
-
-    def pending(self) -> int:
-        return self.arrived - self.consumed
 
 
 class _FastEngine:
@@ -710,6 +708,7 @@ class _FastEngine:
         q_tenant = self.q_tenant
         q_dead = self.q_dead
         caches = self.caches
+        dev_jobs = self.dev_jobs
         rec_sizes = self.rec_sizes
         rec_fin = self.rec_fin
         seen = self.seen_classes
@@ -758,26 +757,28 @@ class _FastEngine:
                     heappush(free_heap, (now, dev))
                 continue
             qid, pos, size, s, load_s = taken
+            tenant = q_tenant[qid]
+            jc = s_class[s]
             nf = s_nf[s]
+            member_loads = [] if rec is not None else None
             start = now
-            gang = [dev]
-            if nf > 1:
+            if nf == 1:
+                # Nothing touched this cache since admission previewed
+                # it (if it did): the request loads the previewed bytes.
+                miss = caches[dev].request(tenant, jc)
+                if load_s is None:
+                    load_s = miss / denom + pcie_lat if miss else 0.0
+                if member_loads is not None:
+                    member_loads.append((dev, load_s, miss))
+                gang = (dev,)
+            else:
+                gang = [dev]
                 for _ in range(nf - 1):
                     _, extra = heappop(free_heap)
                     gang.append(extra)
                     free = dev_free[extra]
                     if free > start:
                         start = free
-            tenant = q_tenant[qid]
-            jc = s_class[s]
-            member_loads = [] if rec is not None else None
-            if nf == 1 and load_s is not None:
-                # Nothing touched this cache since admission previewed
-                # it: the request loads exactly the previewed bytes.
-                miss = caches[dev].request(tenant, jc)
-                if member_loads is not None:
-                    member_loads.append((dev, load_s, miss))
-            else:
                 load_s = 0.0
                 # key_load_seconds inlined (same arithmetic): per-batch
                 # hot path.
@@ -795,10 +796,10 @@ class _FastEngine:
                 dev_free[di] = finish
                 dev_busy[di] += service
                 heappush(free_heap, (finish, di))
-            self.dev_jobs[gang[0]] += size
+            dev_jobs[dev] += size
             batches += 1
             batched_jobs += size
-            batch_cost = len(gang) * integral(start, finish)
+            batch_cost = nf * integral(start, finish)
             cost += batch_cost
             rec_sizes[qid].append(size)
             rec_fin[qid].append(finish)
