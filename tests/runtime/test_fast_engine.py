@@ -285,12 +285,6 @@ class TestTighterBreakpoints:
                     last = max(b for b in walk if b < pos + size)
                     assert dead[last] == min(dead[pos:pos + size])
 
-    def test_monotone_queues_have_no_breakpoints(self):
-        deadlines = np.asarray([1.0, 1.0, 2.0, 3.0, 0.5, 0.5, 4.0,
-                                math.inf, math.inf])
-        brk = _tighter_breakpoints(deadlines, np.asarray([0, 4, 7, 9]))
-        assert brk.tolist() == [4, 4, 4, 4, 3, 3, 3, 2, 2]
-
 
 class TestRecorderParity:
     """Observation hooks fire identically from both engines."""
