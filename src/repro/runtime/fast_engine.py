@@ -25,18 +25,12 @@ oracle job for job:
   DES policy would see, at O(log queues) per dispatch.
 * **One admission pass per batch.**  edf and the deferrable tier trim
   a batch to the largest size whose shared finish meets every
-  member's deadline, so the binding deadline is the prefix minimum of
-  the queue's deadlines.  Set-up stores, per queue position, the next
-  position holding a strictly tighter deadline (vectorized over the
-  queue's drops); admission follows that chain from the head while it
-  stays inside the batch, visiting only the jobs where the prefix
-  minimum drops, and walks the shorter prefix again if a trim drops
-  the tightest job.  A queue fed by one constant-SLO or
-  constant-window stream has non-decreasing deadlines (float
-  ``t + c`` is monotone in ``t``) and walks none.  The heap pop, the
-  take, the requeue and the key-load preview all run inline in that
-  pass, and a single-board batch prices its key load once: nothing
-  touches the board's cache between preview and request.
+  member's deadline, so the binding deadline is the minimum over the
+  batch: one built-in ``min`` over at most ``max_batch`` queued
+  deadlines, taken again only when a trim drops a job holding it.
+  The arrived-jobs bisect is bounded to ``max_batch`` positions, and
+  the heap pop, the take, the requeue and the key-load preview all
+  run inline in that pass.
 * **Vectorized bookkeeping.**  Completion times are recorded as
   (batch size, finish) run-lengths per queue and expanded with
   ``np.repeat`` at the end, and the per-job arrays go straight into
@@ -58,7 +52,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from array import array
 from bisect import bisect_right
 from functools import partial
 from typing import Dict, List, Optional, Tuple
@@ -69,43 +62,6 @@ from ..obs import Recorder
 from .policies import POLICIES, PriceSignal
 from .serving import (DONE, REJECTED, Scenario, ServingReport,
                       build_report, key_caches)
-
-
-def _tighter_breakpoints(deadlines: np.ndarray,
-                         bounds: np.ndarray) -> np.ndarray:
-    """Next strictly tighter deadline, per queue position.
-
-    ``deadlines`` holds one segment per queue, back to back; segment
-    ``q`` spans ``bounds[q]:bounds[q + 1]``.  Entry ``k`` of the result
-    is the position, counted from the start of ``k``'s segment, of the
-    first later job of that segment whose deadline is strictly below
-    ``deadlines[k]``, or the segment's length when there is none.
-    """
-    n = deadlines.size
-    lengths = np.diff(bounds)
-    ends = np.repeat(bounds[1:], lengths)
-    # Every answer is a *drop*, a job tighter than the job before it
-    # (the jobs between k and its answer are no tighter than k), so
-    # the search runs over the drops only: monotone queues have none.
-    drops = np.flatnonzero(deadlines[1:] < deadlines[:-1]) + 1
-    first = np.searchsorted(drops, np.arange(n), side="right")
-    out = ends.copy()
-    live = np.flatnonzero(np.append(drops, n)[first] < ends)
-    # Binary lifting over the drops' deadlines: levels[p][i] is the
-    # minimum of drops i .. i + 2**p - 1; skip every block that holds
-    # nothing tighter, widest first.
-    levels = [deadlines[drops]]
-    while 2 ** len(levels) <= drops.size:
-        prev, half = levels[-1], 2 ** (len(levels) - 1)
-        levels.append(np.minimum(prev[:-half], prev[half:]))
-    at, tight = first[live], deadlines[live]
-    for p in range(len(levels) - 1, -1, -1):
-        level = levels[p]
-        fits = np.flatnonzero(at < level.size)
-        skip = fits[level[at[fits]] >= tight[fits]]
-        at[skip] += 2 ** p
-    out[live] = np.minimum(np.append(drops, n)[at], ends[live])
-    return out - np.repeat(bounds[:-1], lengths)
 
 
 class _QueueDomain:
@@ -263,22 +219,17 @@ class _FastEngine:
         bounds = np.concatenate([[0], np.cumsum(counts)])
         spans = [(int(bounds[q]), int(bounds[q + 1])) for q in range(nq)]
         self.q_jobs_np = [order[lo:hi] for lo, hi in spans]
-        # The event loop reads arrivals, deadlines and deadline
-        # breakpoints by queue position: python lists (arrays for the
-        # breakpoints) index several times faster than numpy there.
+        # The event loop reads arrivals and deadlines by queue
+        # position: python lists index several times faster than
+        # numpy there.
         arr_q = arr_np[order]
         self.q_times = [arr_q[lo:hi].tolist() for lo, hi in spans]
         self.q_head = [0] * nq
         self.q_total = [int(c) for c in counts]
         self.q_dead: Optional[List[List[float]]] = None
-        self.q_brk: Optional[List[array]] = None
         if self.policy_code != 0 or self.rec is not None:
             dead_q = dead_np[order]
             self.q_dead = [dead_q[lo:hi].tolist() for lo, hi in spans]
-        if self.policy_code != 0:
-            brk = _tighter_breakpoints(dead_q, bounds)
-            self.q_brk = [array("q", brk[lo:hi].tobytes())
-                          for lo, hi in spans]
         #: Ready-heap priority by queue position: the deadline (edf,
         #: interactive tier) or the forced start (deferrable tier).
         self.q_prio = self.q_dead
@@ -468,11 +419,9 @@ class _FastEngine:
                    note: bool = False) -> Optional[Tuple]:
         """One admission pass over ``dom`` for board ``dev`` at ``now``.
 
-        Returns ``(qid, pos, size, stream, load_s)`` for the batch it
-        took (``load_s``: the previewed key-load seconds, or ``None``
-        when no deadline forced a preview), or ``None``.  Mirrors the
-        DES ``_edf_admit`` decision for decision; see the module
-        docstring for the breakpoint walk.
+        Returns ``(qid, pos, size, stream)`` for the batch it took, or
+        ``None``.  Mirrors the DES ``_edf_admit`` decision for
+        decision.
         """
         ready = dom.ready
         q_head = self.q_head
@@ -490,25 +439,16 @@ class _FastEngine:
                 heapq.heappush(ready, entry)
                 break
             times = self.q_times[qid]
-            end = bisect_right(times, clock, pos)
-            if end - pos > max_batch:
-                end = pos + max_batch
-            size = end - pos
+            total = self.q_total[qid]
+            size = bisect_right(times, clock, pos,
+                                min(pos + max_batch, total)) - pos
             dead = self.q_dead[qid]
-            brk = self.q_brk[qid]
-            # b: the last breakpoint inside the batch, i.e. the job
-            # holding its tightest deadline (the whole batch shares
-            # one finish time).
-            b = pos
-            j = brk[pos]
-            while j < end:
-                b = j
-                j = brk[j]
+            # The whole batch shares one finish time: its tightest
+            # deadline binds.
+            tight = min(dead[pos:pos + size])
             s = self.q_stream[qid]
             if s < 0:
                 s = self._head_stream(qid, pos)
-            load_s = None
-            tight = dead[b]
             if tight != math.inf:
                 secs = self.s_secs[s]
                 nf = self.s_nf[s]
@@ -519,31 +459,26 @@ class _FastEngine:
                 # Gang start and key-load preview: the gang is this
                 # board plus the nf - 1 boards that free up first.
                 start = now
-                miss = caches[dev].peek_miss_bytes(tenant, jc)
-                load_s = miss / denom + pcie_lat if miss else 0.0
+                gang = [dev]
                 if nf > 1:
                     dev_free = self.dev_free
                     for _, i in heapq.nsmallest(nf - 1, self.free_heap):
                         if dev_free[i] > start:
                             start = dev_free[i]
-                        miss = caches[i].peek_miss_bytes(tenant, jc)
-                        load = miss / denom + pcie_lat if miss else 0.0
-                        if load > load_s:
-                            load_s = load
+                        gang.append(i)
+                load_s = 0.0
+                for i in gang:
+                    miss = caches[i].peek_miss_bytes(tenant, jc)
+                    load = miss / denom + pcie_lat if miss else 0.0
+                    if load > load_s:
+                        load_s = load
                 launch = self.launch_s
                 while size and (start + (launch + load_s + size * secs)
                                 > tight):
                     size -= 1
-                    if b >= pos + size and size:
-                        # The tightest job left the batch: walk the
-                        # breakpoints of the shorter prefix again.
-                        end = pos + size
-                        b = pos
-                        j = brk[pos]
-                        while j < end:
-                            b = j
-                            j = brk[j]
-                        tight = dead[b]
+                    if size and dead[pos + size] == tight:
+                        # The trim may have dropped the tightest job.
+                        tight = min(dead[pos:pos + size])
                 if size == 0:
                     if urgent_only or (
                         start + (launch + 1 * secs) > dead[pos]
@@ -564,7 +499,7 @@ class _FastEngine:
             q_head[qid] = head
             dom.consumed += size
             self.done += size
-            if head < self.q_total[qid]:
+            if head < total:
                 t = times[head]
                 if t <= clock:
                     heapq.heappush(ready, (self.q_prio[qid][head], t,
@@ -573,7 +508,7 @@ class _FastEngine:
                     heapq.heappush(dom.act, (t, qid, head))
             if note:
                 self._note_held_back(qid, pos, size)
-            taken = (qid, pos, size, s, load_s)
+            taken = (qid, pos, size, s)
             break
         for entry in skipped:
             heapq.heappush(ready, entry)
@@ -599,14 +534,14 @@ class _FastEngine:
                 return None
             qid = entry[-2]
             pos = self.q_head[qid]
-            size = min(self.sim.max_batch,
-                       bisect_right(self.q_times[qid], self.clock, pos)
-                       - pos)
+            size = bisect_right(
+                self.q_times[qid], self.clock, pos,
+                min(pos + self.sim.max_batch, self.q_total[qid])) - pos
             self.q_head[qid] = pos + size
             self.idom.consumed += size
             self.done += size
             self._requeue(qid)
-            return (qid, pos, size, self._head_stream(qid, pos), None)
+            return (qid, pos, size, self._head_stream(qid, pos))
         self._events_at_entry = self.deferral_events
         ddom = self.ddom
         # 1. Batch jobs whose forced start has arrived run first.
@@ -708,7 +643,6 @@ class _FastEngine:
         q_tenant = self.q_tenant
         q_dead = self.q_dead
         caches = self.caches
-        dev_jobs = self.dev_jobs
         rec_sizes = self.rec_sizes
         rec_fin = self.rec_fin
         seen = self.seen_classes
@@ -756,39 +690,29 @@ class _FastEngine:
                 else:
                     heappush(free_heap, (now, dev))
                 continue
-            qid, pos, size, s, load_s = taken
-            tenant = q_tenant[qid]
-            jc = s_class[s]
+            qid, pos, size, s = taken
             nf = s_nf[s]
-            member_loads = [] if rec is not None else None
             start = now
-            if nf == 1:
-                # Nothing touched this cache since admission previewed
-                # it (if it did): the request loads the previewed bytes.
-                miss = caches[dev].request(tenant, jc)
-                if load_s is None:
-                    load_s = miss / denom + pcie_lat if miss else 0.0
-                if member_loads is not None:
-                    member_loads.append((dev, load_s, miss))
-                gang = (dev,)
-            else:
-                gang = [dev]
+            gang = [dev]
+            if nf > 1:
                 for _ in range(nf - 1):
                     _, extra = heappop(free_heap)
                     gang.append(extra)
                     free = dev_free[extra]
                     if free > start:
                         start = free
-                load_s = 0.0
-                # key_load_seconds inlined (same arithmetic): per-batch
-                # hot path.
-                for di in gang:
-                    miss = caches[di].request(tenant, jc)
-                    load = miss / denom + pcie_lat if miss else 0.0
-                    if member_loads is not None:
-                        member_loads.append((di, load, miss))
-                    if load > load_s:
-                        load_s = load
+            tenant = q_tenant[qid]
+            jc = s_class[s]
+            load_s = 0.0
+            member_loads = [] if rec is not None else None
+            # key_load_seconds inlined (same arithmetic): per-batch hot path.
+            for di in gang:
+                miss = caches[di].request(tenant, jc)
+                load = miss / denom + pcie_lat if miss else 0.0
+                if member_loads is not None:
+                    member_loads.append((di, load, miss))
+                if load > load_s:
+                    load_s = load
             compute_s = size * s_secs[s]
             service = launch + load_s + compute_s
             finish = start + service
@@ -796,10 +720,10 @@ class _FastEngine:
                 dev_free[di] = finish
                 dev_busy[di] += service
                 heappush(free_heap, (finish, di))
-            dev_jobs[dev] += size
+            self.dev_jobs[gang[0]] += size
             batches += 1
             batched_jobs += size
-            batch_cost = nf * integral(start, finish)
+            batch_cost = len(gang) * integral(start, finish)
             cost += batch_cost
             rec_sizes[qid].append(size)
             rec_fin[qid].append(finish)

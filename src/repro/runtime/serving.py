@@ -1052,9 +1052,9 @@ def key_load_seconds(host: HostConfig, miss_bytes: int) -> float:
     The one place the PCIe cost model lives: the simulator's service
     arithmetic, the policies' admission bounds, and the default SLO
     heuristic all price key traffic through this function, so they
-    cannot drift apart.  The fast engine's per-batch hot path repeats
-    the same expression inline; the fast-vs-DES parity suite pins the
-    two to equal floats.
+    cannot drift apart.  The fast engine's admission preview and batch
+    launch repeat the same expression inline (per-batch hot path); the
+    fast-vs-DES parity suite pins them to equal floats.
     """
     if miss_bytes == 0:
         return 0.0

@@ -12,14 +12,13 @@ engine-selection contract.
 import dataclasses
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import FabConfig
 from repro.obs import MetricsRecorder, TimelineRecorder
-from repro.runtime.fast_engine import _tighter_breakpoints, run_fast
+from repro.runtime.fast_engine import run_fast
 from repro.runtime.policies import PriceSignal
 from repro.runtime.serving import (ENGINES, JobClass, KeyCache, Scenario,
                                    ServingSimulator, SetKeyCache, Stream,
@@ -163,7 +162,7 @@ class TestHypothesisParity:
                                 if stream.slo_ms is not None
                                 else stream.window_s)
                 key = (stream.job_class.name, tenant)
-                if deadline < last.get(key, math.inf):
+                if key in last and deadline < last[key]:
                     decreases += 1
                 last[key] = deadline
         assert decreases > 0
@@ -241,49 +240,6 @@ class TestHypothesisParity:
                              engine="fast")
         assert des.jobs_done > 0
         assert_reports_identical(fast, des)
-
-
-class TestTighterBreakpoints:
-    """The per-queue "next strictly tighter deadline" array that
-    admission walks instead of scanning every queued job."""
-
-    @given(queues=st.lists(
-        st.one_of(
-            st.lists(st.sampled_from([0.5, 1.0, 1.0, 2.0, math.inf]),
-                     max_size=24),
-            st.lists(st.floats(0.0, 10.0), max_size=24),
-            st.lists(st.just(math.inf), max_size=8)),
-        min_size=1, max_size=5))
-    @settings(max_examples=200, deadline=None)
-    def test_matches_brute_force_prefix_minimum(self, queues):
-        deadlines = np.asarray([d for q in queues for d in q],
-                               dtype=np.float64)
-        bounds = np.cumsum([0] + [len(q) for q in queues])
-        brk = _tighter_breakpoints(deadlines, bounds)
-        for q, dead in enumerate(queues):
-            chain = brk[bounds[q]:bounds[q + 1]].tolist()
-            assert len(chain) == len(dead)
-            for pos in range(len(dead)):
-                # The definition: first strictly tighter later job.
-                later = [j for j in range(pos + 1, len(dead))
-                         if dead[j] < dead[pos]]
-                assert chain[pos] == (later[0] if later else len(dead))
-                # What admission relies on: the chain from pos visits
-                # exactly the positions where the prefix minimum of
-                # dead[pos:] drops, so its last stop inside a batch
-                # holds the batch's tightest deadline.
-                drops, tight = [pos], dead[pos]
-                for j in range(pos + 1, len(dead)):
-                    if dead[j] < tight:
-                        drops.append(j)
-                        tight = dead[j]
-                walk = [pos]
-                while chain[walk[-1]] < len(dead):
-                    walk.append(chain[walk[-1]])
-                assert walk == drops
-                for size in range(1, len(dead) - pos + 1):
-                    last = max(b for b in walk if b < pos + size)
-                    assert dead[last] == min(dead[pos:pos + size])
 
 
 class TestRecorderParity:
