@@ -19,9 +19,9 @@ from .keys import (GaloisKeySet, KeyGenerator, PublicKey, SecretKey,
                    SwitchingKey, conjugation_element,
                    galois_element_for_rotation)
 from .keyswitch import KeySwitcher
-from .modmath import modinv
 from .ntt import get_ntt_context
 from .poly import RnsPolynomial
+from .rns import RnsBasis, inverse_column
 
 #: Relative tolerance when matching scales of operands.
 SCALE_RTOL = 1e-6
@@ -216,32 +216,29 @@ class Evaluator:
     # ------------------------------------------------------------------
 
     def rescale(self, ct: Ciphertext) -> Ciphertext:
-        """Divide by the last limb prime and drop it (one level consumed)."""
+        """Divide by the last limb prime and drop it (one level consumed).
+
+        ``c0`` and ``c1`` share one inverse NTT of their last limbs and
+        one forward NTT of the lifted remainders.
+        """
         if ct.level_count <= 1:
             raise ValueError("cannot rescale a one-limb ciphertext")
-        q_last = ct.c0.basis.primes[-1]
-        c0 = self._rescale_poly(ct.c0, q_last)
-        c1 = self._rescale_poly(ct.c1, q_last)
-        return Ciphertext(c0, c1, ct.scale / q_last, ct.num_slots)
-
-    @staticmethod
-    def _rescale_poly(poly: RnsPolynomial, q_last: int) -> RnsPolynomial:
-        ring_degree = poly.ring_degree
-        last_ctx = get_ntt_context(ring_degree, q_last)
-        last_coeff = last_ctx.inverse(poly.limbs[-1])
+        basis = ct.c0.basis
+        q_last = basis.primes[-1]
+        remaining = RnsBasis(basis.primes[:-1])
+        n = ct.ring_degree
+        limbs = np.stack([ct.c0.limbs, ct.c1.limbs])
+        last = get_ntt_context(n, q_last).inverse(limbs[:, -1:])
         # Centered lift of the dropped limb for minimal rounding noise.
-        centered = np.where(last_coeff >= (q_last + 1) // 2,
-                            last_coeff - q_last, last_coeff)
-        remaining = poly.basis.primes[:-1]
-        lifted = get_ntt_context(ring_degree, remaining).forward(
-            np.broadcast_to(centered, (len(remaining), ring_degree)))
-        q = np.array(remaining, dtype=np.int64)[:, None]
-        inv = np.array([modinv(q_last % qi, qi) for qi in remaining],
-                       dtype=np.int64)[:, None]
-        out = (poly.limbs[:-1] - lifted) % q * inv % q
-        from .rns import RnsBasis
-        return RnsPolynomial(ring_degree, RnsBasis(remaining), out,
-                             is_ntt=True)
+        centered = np.where(last >= (q_last + 1) // 2, last - q_last, last)
+        lifted = get_ntt_context(n, remaining.primes).forward(
+            np.broadcast_to(centered, (2, len(remaining), n)))
+        q = remaining.column
+        out = ((limbs[:, :-1] - lifted) % q
+               * inverse_column(remaining, q_last) % q)
+        c0, c1 = (RnsPolynomial(n, remaining, rows, is_ntt=True)
+                  for rows in out)
+        return Ciphertext(c0, c1, ct.scale / q_last, ct.num_slots)
 
     def rescale_to_scale(self, ct: Ciphertext, target: float) -> Ciphertext:
         """Rescale repeatedly until the scale is within 2x of ``target``."""

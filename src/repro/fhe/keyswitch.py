@@ -5,11 +5,18 @@ model in :mod:`repro.core.keyswitch_datapath`.  The decomposition of
 the key-switch inner product mirrors the paper exactly:
 
 1. ``Decomp``     — split the current limbs into dnum digits of alpha.
-2. ``ModUp``      — extend each digit to the full raised basis Q_l * P
-                    (the digit's own alpha limbs pass through unchanged,
+2. ``ModUp``      — extend every digit to the full raised basis Q_l * P
+                    (each digit's own alpha limbs pass through unchanged,
                     the observation FAB's modified datapath exploits).
+                    All digits share one inverse NTT over the input's
+                    limbs and one forward NTT over every new limb.
 3. ``KSKIP``      — inner product with the per-digit switching key.
-4. ``ModDown``    — divide by P and return to the Q_l basis.
+4. ``ModDown``    — divide by P and return to the Q_l basis; the two
+                    accumulators share one inverse and one forward NTT.
+
+Like FAB's datapath, which streams every limb through a few functional
+units, each phase is one pass over its limbs rather than one call per
+digit or per polynomial.
 
 The functional result is independent of the hardware scheduling (the
 paper stresses the modified datapath "does not change the underlying
@@ -19,16 +26,16 @@ original and modified datapath cost models.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+import itertools
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .context import CkksContext
 from .keys import SwitchingKey
-from .modmath import modinv
 from .ntt import get_ntt_context
 from .poly import RnsPolynomial
-from .rns import RnsBasis, get_base_converter
+from .rns import RnsBasis, get_base_converter, inverse_column
 
 
 class KeySwitcher:
@@ -48,29 +55,44 @@ class KeySwitcher:
         digits = self.context.digit_indices(num_limbs)
         return [poly.keep_limbs(digit) for digit in digits]
 
-    def mod_up(self, digit_poly: RnsPolynomial,
-               target: RnsBasis) -> RnsPolynomial:
-        """``ModUp``: extend a digit to the raised basis (NTT domain).
+    def mod_up(self, digits: Sequence[RnsPolynomial],
+               target: RnsBasis) -> List[RnsPolynomial]:
+        """``ModUp``: extend every digit to the raised basis (NTT domain).
 
-        Limbs already present in the digit are copied through unchanged
+        Limbs already present in a digit are copied through unchanged
         (they are identical residues); only the new limbs go through
-        iNTT -> base conversion -> NTT.  The base-conversion overflow
-        (a multiple of the digit modulus) provably cancels in ModDown.
+        iNTT -> base conversion -> NTT.  The digits' limbs, stacked, cross
+        one inverse NTT; each digit converts to its own new limbs; and
+        the new limbs of all digits, stacked over their repeated primes,
+        cross one forward NTT.  The base-conversion overflow (a multiple
+        of the digit modulus) provably cancels in ModDown.
         """
-        ring_degree = digit_poly.ring_degree
-        digit_row = {p: i for i, p in enumerate(digit_poly.basis.primes)}
-        is_new = np.array([p not in digit_row for p in target.primes])
-        new_primes = [p for p in target.primes if p not in digit_row]
-        out = np.empty((len(target), ring_degree), dtype=np.int64)
-        out[~is_new] = digit_poly.to_ntt().limbs[
-            [digit_row[p] for p in target.primes if p in digit_row]]
-        if new_primes:
-            converter = get_base_converter(digit_poly.basis,
-                                           RnsBasis(new_primes))
-            converted = converter.convert(digit_poly.to_coeff().limbs)
-            out[is_new] = get_ntt_context(ring_degree,
-                                          new_primes).forward(converted)
-        return RnsPolynomial(ring_degree, target, out, is_ntt=True)
+        n = digits[0].ring_degree
+        stacked = RnsPolynomial(
+            n, RnsBasis([p for d in digits for p in d.basis.primes]),
+            np.concatenate([d.limbs for d in digits]), digits[0].is_ntt)
+        coeff = stacked.to_coeff().limbs
+        # Each raised digit gathers its rows from [stacked NTT limbs ++
+        # new limbs]; the new limbs follow in digit, then target order.
+        gather = np.empty((len(digits), len(target)), dtype=np.int64)
+        new_rows = itertools.count(len(stacked.basis))
+        converted, new_primes = [], []
+        start = 0
+        for j, digit in enumerate(digits):
+            own = {p: start + i for i, p in enumerate(digit.basis.primes)}
+            new = [p for p in target.primes if p not in own]
+            converter = get_base_converter(digit.basis, RnsBasis(new))
+            converted.append(
+                converter.convert(coeff[start:start + len(own)]))
+            gather[j] = [own[p] if p in own else next(new_rows)
+                         for p in target.primes]
+            new_primes += new
+            start += len(own)
+        new_limbs = get_ntt_context(n, new_primes).forward(
+            np.concatenate(converted))
+        raised = np.concatenate([stacked.to_ntt().limbs, new_limbs])[gather]
+        return [RnsPolynomial(n, target, limbs, is_ntt=True)
+                for limbs in raised]
 
     def inner_product(self, raised_digits: List[RnsPolynomial],
                       key: SwitchingKey,
@@ -78,42 +100,46 @@ class KeySwitcher:
         """``KSKIP``: accumulate ``sum_j d_hat_j * (b_j, a_j)``.
 
         The key polynomials live over the full Q*P basis; only the limbs
-        present in ``target`` participate at the current level.
+        present in ``target`` participate at the current level.  All
+        digits and both key halves multiply in one pass, and the sum
+        over digits reduces once (each term is below 2^31).
         """
         full = self.context.full_basis
         key_rows = [full.primes.index(p) for p in target.primes]
-        acc0 = RnsPolynomial.zeros(raised_digits[0].ring_degree, target)
-        acc1 = RnsPolynomial.zeros(raised_digits[0].ring_degree, target)
-        for digit, (b_j, a_j) in zip(raised_digits, key.pairs):
-            b_r = b_j.keep_limbs(key_rows)
-            a_r = a_j.keep_limbs(key_rows)
-            acc0 = acc0 + digit * b_r
-            acc1 = acc1 + digit * a_r
-        return acc0, acc1
+        pairs = list(zip(raised_digits, key.pairs))
+        digits = np.stack([digit.limbs for digit, _ in pairs])
+        keys = np.stack([(b_j.limbs[key_rows], a_j.limbs[key_rows])
+                         for _, (b_j, a_j) in pairs])
+        q = target.column
+        acc = (digits[:, None] * keys % q).sum(axis=0) % q
+        n = raised_digits[0].ring_degree
+        return (RnsPolynomial(n, target, acc[0], is_ntt=True),
+                RnsPolynomial(n, target, acc[1], is_ntt=True))
 
-    def mod_down(self, poly: RnsPolynomial,
-                 q_basis: RnsBasis) -> RnsPolynomial:
+    def mod_down(self, polys: Sequence[RnsPolynomial],
+                 q_basis: RnsBasis) -> List[RnsPolynomial]:
         """``ModDown``: exact floor-division by P, returning to Q_l.
 
-        ``poly`` must span ``q_basis ++ p_basis`` in NTT form.
+        Every polynomial must span ``q_basis ++ p_basis`` in NTT form.
+        Their P limbs cross one inverse NTT together, and the lifts to
+        Q_l one forward NTT.
         """
         ctx = self.context
         num_q = len(q_basis)
         p_basis = ctx.p_basis
         expected = q_basis.primes + p_basis.primes
-        if poly.basis.primes != expected:
+        if any(poly.basis.primes != expected for poly in polys):
             raise ValueError("mod_down input must span Q_l ++ P")
-        p_part = poly.keep_limbs(range(num_q, num_q + len(p_basis)))
-        p_coeff = p_part.to_coeff()
-        converter = get_base_converter(p_basis, q_basis)
-        lifted = converter.convert_exact_floor(p_coeff.limbs)
-        lifted_ntt = get_ntt_context(poly.ring_degree,
-                                     q_basis.primes).forward(lifted)
-        q = np.array(q_basis.primes, dtype=np.int64)[:, None]
-        inv_p = np.array([modinv(ctx.p_modulus % qi, qi)
-                          for qi in q_basis.primes], dtype=np.int64)[:, None]
-        out = (poly.limbs[:num_q] - lifted_ntt) % q * inv_p % q
-        return RnsPolynomial(poly.ring_degree, q_basis, out, is_ntt=True)
+        n = polys[0].ring_degree
+        limbs = np.stack([poly.limbs for poly in polys])
+        p_coeff = get_ntt_context(n, p_basis.primes).inverse(limbs[:, num_q:])
+        lifted = get_base_converter(p_basis, q_basis).convert_exact_floor(
+            p_coeff)
+        lifted = get_ntt_context(n, q_basis.primes).forward(lifted)
+        q = q_basis.column
+        out = ((limbs[:, :num_q] - lifted) % q
+               * inverse_column(q_basis, ctx.p_modulus) % q)
+        return [RnsPolynomial(n, q_basis, rows, is_ntt=True) for rows in out]
 
     # ------------------------------------------------------------------
     # Hoisting (Halevi–Shoup; used by Bossuat et al. [5] and by FAB's
@@ -133,8 +159,7 @@ class KeySwitcher:
             poly = poly.to_ntt()
         raised_basis = RnsBasis(poly.basis.primes
                                 + self.context.p_basis.primes)
-        return [self.mod_up(d, raised_basis)
-                for d in self.decompose(poly)]
+        return self.mod_up(self.decompose(poly), raised_basis)
 
     def switch_hoisted(self, raised_digits: List[RnsPolynomial],
                        galois_element: int, key: SwitchingKey,
@@ -152,8 +177,7 @@ class KeySwitcher:
             raise ValueError("more digits than the key provides")
         raised = rotated[0].basis
         acc0, acc1 = self.inner_product(rotated, key, raised)
-        u0 = self.mod_down(acc0, q_basis)
-        u1 = self.mod_down(acc1, q_basis)
+        u0, u1 = self.mod_down((acc0, acc1), q_basis)
         return u0, u1
 
     # ------------------------------------------------------------------
@@ -175,8 +199,7 @@ class KeySwitcher:
         if len(digits) > key.dnum:
             raise ValueError(
                 f"ciphertext has {len(digits)} digits but key has {key.dnum}")
-        raised_digits = [self.mod_up(d, raised) for d in digits]
+        raised_digits = self.mod_up(digits, raised)
         acc0, acc1 = self.inner_product(raised_digits, key, raised)
-        u0 = self.mod_down(acc0, q_basis)
-        u1 = self.mod_down(acc1, q_basis)
+        u0, u1 = self.mod_down((acc0, acc1), q_basis)
         return u0, u1

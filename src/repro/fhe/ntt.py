@@ -8,8 +8,13 @@ the final scaling by N^{-1}.
 Like the datapath, which streams every RNS limb through its butterflies,
 one call transforms a whole ``(L, N)`` limb matrix: each of the log N
 stages is one vectorized butterfly pass over all limbs at once, against
-per-row twiddles and per-row moduli.  A one-prime context is the L = 1
-case of the same code and also accepts a plain length-N vector.
+per-row twiddles and per-row moduli.  The rows need not be distinct
+primes, so key switching stacks the new limbs of every ModUp digit into
+one matrix over a repeated prime list; and a leading batch axis
+``(B, L, N)`` transforms several polynomials over the same primes (the
+two halves of a ciphertext) in the same pass.  A one-prime context is
+the L = 1 case of the same code and also accepts a plain length-N
+vector.
 
 Primes are restricted to < 2**31 so that a product of two residues fits
 exactly in int64; the paper's 54-bit limbs are handled bit-exactly by
@@ -18,7 +23,8 @@ exactly in int64; the paper's 54-bit limbs are handled bit-exactly by
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple, Union
+from functools import lru_cache
+from typing import Dict, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -32,7 +38,8 @@ class NttContext:
     The forward transform maps coefficient representation to evaluation
     representation (values of the polynomial at the odd powers of the
     primitive 2N-th root ``psi``); the inverse transform maps back.
-    Row ``i`` of a limb matrix is transformed modulo ``moduli[i]``.
+    Row ``i`` of a limb matrix, or of every matrix in a stack, is
+    transformed modulo ``moduli[i]``; a prime may appear in several rows.
 
     Attributes:
         ring_degree: the polynomial degree N (power of two).
@@ -43,33 +50,12 @@ class NttContext:
         self.ring_degree = ring_degree
         self.moduli = tuple(np.atleast_1d(moduli).tolist())
         self.log_degree = ilog2(ring_degree)
-        rows = []
-        for q in self.moduli:
-            if q.bit_length() > MAX_FUNCTIONAL_PRIME_BITS:
-                raise ValueError(
-                    f"functional NTT supports primes < "
-                    f"2^{MAX_FUNCTIONAL_PRIME_BITS}; "
-                    f"got {q.bit_length()}-bit modulus")
-            if (q - 1) % (2 * ring_degree) != 0:
-                raise ValueError("modulus is not NTT-friendly for this degree")
-            psi = primitive_root_of_unity(2 * ring_degree, q)
-            rows.append((self._twiddle_row(psi, q),
-                         self._twiddle_row(modinv(psi, q), q),
-                         [modinv(ring_degree, q)], [q]))
-        forward, inverse, degree_inv, q_col = zip(*rows)
-        self._forward_table = np.array(forward, dtype=np.int64)
-        self._inverse_table = np.array(inverse, dtype=np.int64)
-        self._degree_inv = np.array(degree_inv, dtype=np.int64)
-        self._q = np.array(q_col, dtype=np.int64)
-
-    def _twiddle_row(self, root: int, modulus: int) -> List[int]:
-        """Powers of ``root`` in bit-reversed order, as used stage-by-stage
-        by the iterative Cooley–Tukey network (Longa–Naehrig layout)."""
-        raw = [1]
-        for _ in range(self.ring_degree - 1):
-            raw.append(raw[-1] * root % modulus)
-        return [raw[bit_reverse(i, self.log_degree)]
-                for i in range(self.ring_degree)]
+        forward, inverse, degree_inv = zip(
+            *(_prime_tables(ring_degree, q) for q in self.moduli))
+        self._forward_table = np.stack(forward)
+        self._inverse_table = np.stack(inverse)
+        self._degree_inv = np.array(degree_inv, dtype=np.int64)[:, None]
+        self._q = np.array(self.moduli, dtype=np.int64)[:, None]
 
     @property
     def modulus(self) -> int:
@@ -89,30 +75,34 @@ class NttContext:
     # Transforms
     # ------------------------------------------------------------------
 
-    def _reduced_matrix(self, x) -> np.ndarray:
-        """``x`` as a fresh ``(L, N)`` matrix of residues mod each row's
-        prime; a one-prime context also takes a length-N vector."""
+    def _reduced_stack(self, x) -> np.ndarray:
+        """``x`` as a fresh ``(B, L, N)`` stack of residues mod each row's
+        prime.  ``x`` is an ``(L, N)`` matrix or a ``(..., L, N)`` stack
+        of them; a one-prime context also takes a length-N vector."""
         a = np.asarray(x, dtype=np.int64)
         shape = (len(self.moduli), self.ring_degree)
-        if a.shape != shape and not (a.shape == shape[1:]
-                                     and shape[0] == 1):
-            raise ValueError(f"expected shape {shape}, got {a.shape}")
-        return a.reshape(shape) % self._q
+        if a.shape[-2:] != shape and not (a.shape == shape[1:]
+                                          and shape[0] == 1):
+            raise ValueError(f"expected shape (..., *{shape}), "
+                             f"got {a.shape}")
+        return a.reshape((-1,) + shape) % self._q
 
     def forward(self, coeffs: np.ndarray) -> np.ndarray:
         """Negacyclic forward NTT (coefficient → evaluation order).
 
-        The output ordering is the standard bit-reversed CT ordering; it is
-        consistent between :meth:`forward` and :meth:`inverse`, which is
-        all the scheme requires (pointwise products are order-agnostic).
+        The output ordering is the standard bit-reversed CT ordering:
+        output ``k`` holds the value at ``psi^(2*br(k) + 1)``, where
+        ``br`` reverses the log N index bits.  Pointwise products are
+        order-agnostic; the NTT-form automorphism of
+        :meth:`repro.fhe.poly.RnsPolynomial.automorphism` relies on it.
         """
-        a = self._reduced_matrix(coeffs)
+        a = self._reduced_stack(coeffs)
         q = self._q[:, :, None]
         for stage in range(self.log_degree):
             # m blocks per row; block j of row i uses twiddle tw[i, m + j].
             m = 1 << stage
-            pairs = a.reshape(len(self.moduli), m, 2, -1)
-            lo, hi = pairs[:, :, 0], pairs[:, :, 1]
+            pairs = a.reshape(a.shape[:2] + (m, 2, -1))
+            lo, hi = pairs[..., 0, :], pairs[..., 1, :]
             prod = hi * self._forward_table[:, m:2 * m, None] % q
             np.subtract(lo, prod, out=hi)
             lo += prod
@@ -121,12 +111,12 @@ class NttContext:
 
     def inverse(self, values: np.ndarray) -> np.ndarray:
         """Negacyclic inverse NTT (evaluation → coefficient order)."""
-        a = self._reduced_matrix(values)
+        a = self._reduced_stack(values)
         q = self._q[:, :, None]
         for stage in reversed(range(self.log_degree)):
             h = 1 << stage
-            pairs = a.reshape(len(self.moduli), h, 2, -1)
-            lo, hi = pairs[:, :, 0], pairs[:, :, 1]
+            pairs = a.reshape(a.shape[:2] + (h, 2, -1))
+            lo, hi = pairs[..., 0, :], pairs[..., 1, :]
             diff = (lo - hi) % q
             lo += hi
             lo %= q
@@ -167,6 +157,37 @@ class NttContext:
     def pointwise_multiply(self, a_eval: np.ndarray, b_eval: np.ndarray) -> np.ndarray:
         """Pointwise product of two evaluation-representation vectors."""
         return np.asarray(a_eval, dtype=np.int64) * np.asarray(b_eval, dtype=np.int64) % self.modulus
+
+
+@lru_cache(maxsize=None)
+def _prime_tables(ring_degree: int,
+                  q: int) -> Tuple[np.ndarray, np.ndarray, int]:
+    """One prime's forward and inverse twiddle rows and ``N^{-1} mod q``,
+    computed once and shared by every context with a row modulo ``q``."""
+    if q.bit_length() > MAX_FUNCTIONAL_PRIME_BITS:
+        raise ValueError(
+            f"functional NTT supports primes < "
+            f"2^{MAX_FUNCTIONAL_PRIME_BITS}; "
+            f"got {q.bit_length()}-bit modulus")
+    if (q - 1) % (2 * ring_degree) != 0:
+        raise ValueError("modulus is not NTT-friendly for this degree")
+    psi = primitive_root_of_unity(2 * ring_degree, q)
+    return (_twiddle_row(psi, q, ring_degree),
+            _twiddle_row(modinv(psi, q), q, ring_degree),
+            modinv(ring_degree, q))
+
+
+def _twiddle_row(root: int, modulus: int, ring_degree: int) -> np.ndarray:
+    """Powers of ``root`` in bit-reversed order, as used stage-by-stage
+    by the iterative Cooley–Tukey network (Longa–Naehrig layout)."""
+    raw = [1]
+    for _ in range(ring_degree - 1):
+        raw.append(raw[-1] * root % modulus)
+    log_degree = ilog2(ring_degree)
+    row = np.array([raw[bit_reverse(i, log_degree)]
+                    for i in range(ring_degree)], dtype=np.int64)
+    row.flags.writeable = False
+    return row
 
 
 _CONTEXT_CACHE: Dict[Tuple[int, Tuple[int, ...]], NttContext] = {}

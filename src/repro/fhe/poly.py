@@ -8,11 +8,12 @@ representation; pointwise products require evaluation form.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, List, Sequence
 
 import numpy as np
 
-from .modmath import ilog2
+from .modmath import bit_reverse, ilog2
 from .ntt import get_ntt_context
 from .rns import RnsBasis
 
@@ -115,29 +116,28 @@ class RnsPolynomial:
 
     def __add__(self, other: "RnsPolynomial") -> "RnsPolynomial":
         self._check_compatible(other)
-        primes = np.array(self.basis.primes, dtype=np.int64)[:, None]
         return RnsPolynomial(self.ring_degree, self.basis,
-                             (self.limbs + other.limbs) % primes, self.is_ntt)
+                             (self.limbs + other.limbs) % self.basis.column,
+                             self.is_ntt)
 
     def __sub__(self, other: "RnsPolynomial") -> "RnsPolynomial":
         self._check_compatible(other)
-        primes = np.array(self.basis.primes, dtype=np.int64)[:, None]
         return RnsPolynomial(self.ring_degree, self.basis,
-                             (self.limbs - other.limbs) % primes, self.is_ntt)
+                             (self.limbs - other.limbs) % self.basis.column,
+                             self.is_ntt)
 
     def __neg__(self) -> "RnsPolynomial":
-        primes = np.array(self.basis.primes, dtype=np.int64)[:, None]
         return RnsPolynomial(self.ring_degree, self.basis,
-                             (-self.limbs) % primes, self.is_ntt)
+                             (-self.limbs) % self.basis.column, self.is_ntt)
 
     def __mul__(self, other: "RnsPolynomial") -> "RnsPolynomial":
         """Ring product; both operands must be in NTT representation."""
         self._check_compatible(other)
         if not self.is_ntt:
             raise ValueError("ring products require NTT representation")
-        primes = np.array(self.basis.primes, dtype=np.int64)[:, None]
         return RnsPolynomial(self.ring_degree, self.basis,
-                             self.limbs * other.limbs % primes, True)
+                             self.limbs * other.limbs % self.basis.column,
+                             True)
 
     def scalar_multiply(self, scalars) -> "RnsPolynomial":
         """Multiply by per-limb scalars (int or length-l sequence)."""
@@ -146,9 +146,8 @@ class RnsPolynomial:
         scalars = np.array([int(s) for s in scalars], dtype=np.int64)
         if scalars.shape != (len(self.basis),):
             raise ValueError("need one scalar per limb")
-        primes = np.array(self.basis.primes, dtype=np.int64)[:, None]
         return RnsPolynomial(self.ring_degree, self.basis,
-                             self.limbs * scalars[:, None] % primes,
+                             self.limbs * scalars[:, None] % self.basis.column,
                              self.is_ntt)
 
     # ------------------------------------------------------------------
@@ -173,27 +172,30 @@ class RnsPolynomial:
     def automorphism(self, galois_element: int) -> "RnsPolynomial":
         """Apply the Galois automorphism ``x -> x^g`` (g odd).
 
-        Performed in coefficient representation: coefficient ``c_i``
-        lands at index ``i*g mod 2N`` with a sign flip when it wraps past
-        ``x^N = -1``.  This is the algebraic ground truth against which
-        the hardware automorph unit (eq. 4 of the paper) is validated.
+        In NTT form the automorphism is a permutation of the evaluation
+        points (see :func:`_evaluation_permutation`), so it costs one
+        gather and no transform.  In coefficient form, coefficient
+        ``c_i`` lands at index ``i*g mod 2N`` with a sign flip when it
+        wraps past ``x^N = -1``; this walk is the algebraic ground truth
+        against which the hardware automorph unit (eq. 4 of the paper)
+        is validated.
         """
-        g = galois_element % (2 * self.ring_degree)
+        n = self.ring_degree
+        g = galois_element % (2 * n)
         if g % 2 == 0:
             raise ValueError("Galois element must be odd")
-        was_ntt = self.is_ntt
-        poly = self.to_coeff()
-        n = self.ring_degree
-        out = np.zeros_like(poly.limbs)
+        if self.is_ntt:
+            return RnsPolynomial(
+                n, self.basis, self.limbs[:, _evaluation_permutation(n, g)],
+                is_ntt=True)
+        out = np.zeros_like(self.limbs)
         idx = (np.arange(n, dtype=np.int64) * g) % (2 * n)
         wrap = idx >= n
         dest = np.where(wrap, idx - n, idx)
-        primes = np.array(self.basis.primes, dtype=np.int64)[:, None]
-        signed = np.where(wrap[None, :], -poly.limbs, poly.limbs)
+        signed = np.where(wrap[None, :], -self.limbs, self.limbs)
         out[:, dest] = signed
-        out %= primes
-        result = RnsPolynomial(self.ring_degree, self.basis, out, is_ntt=False)
-        return result.to_ntt() if was_ntt else result
+        out %= self.basis.column
+        return RnsPolynomial(n, self.basis, out, is_ntt=False)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -220,3 +222,20 @@ class RnsPolynomial:
         rep = "ntt" if self.is_ntt else "coeff"
         return (f"RnsPolynomial(N={self.ring_degree}, limbs={len(self.basis)}, "
                 f"rep={rep})")
+
+
+@lru_cache(maxsize=None)
+def _evaluation_permutation(ring_degree: int, g: int) -> np.ndarray:
+    """Source index of every output of the NTT-form automorphism by ``g``.
+
+    Forward NTT output ``k`` holds ``a(psi^e)`` with odd exponent
+    ``e = 2*br(k) + 1`` (:meth:`repro.fhe.ntt.NttContext.forward`).  The
+    image ``a(x^g)`` there equals ``a(psi^(g*e))``, the input at the index
+    whose exponent is ``g*e mod 2N``; ``br`` is its own inverse.
+    """
+    log_degree = ilog2(ring_degree)
+    br = np.array([bit_reverse(k, log_degree) for k in range(ring_degree)])
+    exponent = g * (2 * br + 1) % (2 * ring_degree)
+    source = br[(exponent - 1) // 2]
+    source.flags.writeable = False
+    return source

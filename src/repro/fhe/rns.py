@@ -16,6 +16,7 @@ into the scheme noise.
 
 from __future__ import annotations
 
+from functools import cached_property, lru_cache
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
@@ -37,6 +38,14 @@ class RnsBasis:
         if not primes:
             raise ValueError("RNS basis must contain at least one prime")
         self.primes = primes
+
+    @cached_property
+    def column(self) -> np.ndarray:
+        """The primes as a read-only ``(l, 1)`` int64 column, which
+        reduces an ``(l, N)`` limb matrix row by row."""
+        column = np.array(self.primes, dtype=np.int64)[:, None]
+        column.flags.writeable = False
+        return column
 
     def __len__(self) -> int:
         return len(self.primes)
@@ -84,22 +93,43 @@ class RnsBasis:
 class BaseConverter:
     """Fast approximate RNS base conversion from ``source`` to ``target``.
 
-    Precomputes the ``Q~_i`` and ``Q*_i mod p_j`` tables once; the
-    conversion itself is a limb-parallel multiply-accumulate, which is
-    exactly the inner product that FAB's smart operation scheduling
-    optimizes (the ``x_i * Q~_i`` products are computed once and reused
-    for every output limb — see §4.6 of the paper).
+    Precomputes ``Q~_i``, ``Q*_i mod p_j`` and ``Q mod p_j`` once.  Both
+    conversions run one kernel: the ``y_i = [x_i * Q~_i]_{q_i}`` are
+    computed once and reused for every output limb (the smart operation
+    scheduling of §4.6 of the paper), and the inner product over the
+    source limbs is a single broadcast multiply-reduce over
+    ``(target, source, N)``.  Every reduced term is below p < 2^31, so
+    the sum over up to 2^32 source limbs cannot overflow int64.
+
+    Limb arguments are ``(len(source), N)`` matrices or stacks
+    ``(..., len(source), N)`` of them; each matrix converts on its own.
     """
 
     def __init__(self, source: RnsBasis, target: RnsBasis):
         self.source = source
         self.target = target
-        self._q_tilde = source.q_tilde()
-        # Matrix [j, i] = Q*_i mod p_j.
+        self._q_tilde = source.q_tilde()[:, None]
+        # [j, i, 0] = Q*_i mod p_j.
         self._q_star = np.stack(
-            [source.q_star_mod(p) for p in target.primes])
-        self._source_primes = np.array(source.primes, dtype=np.int64)
-        self._target_primes = np.array(target.primes, dtype=np.int64)
+            [source.q_star_mod(p) for p in target.primes])[:, :, None]
+        self._q_mod_target = np.array(
+            [source.modulus % p for p in target.primes],
+            dtype=np.int64)[:, None]
+
+    def _terms(self, limbs) -> np.ndarray:
+        """``y_i = x_i * Q~_i mod q_i`` for every source limb."""
+        limbs = np.asarray(limbs, dtype=np.int64)
+        if limbs.ndim < 2 or limbs.shape[-2] != len(self.source):
+            raise ValueError(
+                f"expected ({len(self.source)}, n) limbs, got {limbs.shape}")
+        return limbs * self._q_tilde % self.source.column
+
+    def _inner_product(self, y: np.ndarray) -> np.ndarray:
+        """``sum_i y_i * Q*_i mod p_j`` for every target limb j."""
+        p = self.target.column
+        terms = y[..., None, :, :] * self._q_star
+        terms %= p[:, :, None]
+        return terms.sum(axis=-2) % p
 
     def convert(self, limbs: np.ndarray) -> np.ndarray:
         """Convert residue matrix ``(len(source), n)`` to the target basis.
@@ -107,23 +137,7 @@ class BaseConverter:
         Returns an ``(len(target), n)`` int64 matrix congruent to
         ``x + u*Q`` in each target limb, with ``0 <= u < len(source)``.
         """
-        limbs = np.asarray(limbs, dtype=np.int64)
-        if limbs.ndim != 2 or limbs.shape[0] != len(self.source):
-            raise ValueError(
-                f"expected ({len(self.source)}, n) limbs, got {limbs.shape}")
-        n = limbs.shape[1]
-        # y_i = x_i * Q~_i mod q_i  (computed once, reused for all outputs —
-        # the factor-of-two saving of the paper's smart scheduling).
-        y = limbs * self._q_tilde[:, None] % self._source_primes[:, None]
-        out = np.zeros((len(self.target), n), dtype=np.int64)
-        for j, p in enumerate(self.target.primes):
-            acc = np.zeros(n, dtype=np.int64)
-            row = self._q_star[j]
-            for i in range(len(self.source)):
-                # Each product < 2^62; reduce every step to avoid overflow.
-                acc = (acc + y[i] * int(row[i])) % p
-            out[j] = acc
-        return out
+        return self._inner_product(self._terms(limbs))
 
     def convert_exact_floor(self, limbs: np.ndarray) -> np.ndarray:
         """Exact conversion of the canonical lift ``x in [0, Q)``.
@@ -134,24 +148,12 @@ class BaseConverter:
         The correction integer ``u`` is computed in float64, which is
         exact except when ``x/Q`` is within ~l*2^-52 of an integer.
         """
-        limbs = np.asarray(limbs, dtype=np.int64)
-        if limbs.ndim != 2 or limbs.shape[0] != len(self.source):
-            raise ValueError(
-                f"expected ({len(self.source)}, n) limbs, got {limbs.shape}")
-        n = limbs.shape[1]
-        y = limbs * self._q_tilde[:, None] % self._source_primes[:, None]
-        fractions = (y / self._source_primes[:, None]).sum(axis=0)
+        y = self._terms(limbs)
+        fractions = (y / self.source.column).sum(axis=-2)
         u = np.floor(fractions + 1e-12).astype(np.int64)
-        modulus = self.source.modulus
-        out = np.zeros((len(self.target), n), dtype=np.int64)
-        for j, p in enumerate(self.target.primes):
-            acc = np.zeros(n, dtype=np.int64)
-            row = self._q_star[j]
-            for i in range(len(self.source)):
-                acc = (acc + y[i] * int(row[i])) % p
-            acc = (acc - u * (modulus % p)) % p
-            out[j] = acc
-        return out
+        acc = self._inner_product(y)
+        return (acc - u[..., None, :] * self._q_mod_target) \
+            % self.target.column
 
     def convert_exact_centered(self, limbs: np.ndarray) -> np.ndarray:
         """Exact conversion via big-int CRT with centered lift.
@@ -165,7 +167,7 @@ class BaseConverter:
         n = limbs.shape[1]
         out = np.zeros((len(self.target), n), dtype=np.int64)
         q_star = [modulus // q for q in self.source.primes]
-        q_tilde = [int(t) for t in self._q_tilde]
+        q_tilde = self._q_tilde.ravel().tolist()
         for col in range(n):
             value = 0
             for i, q in enumerate(self.source.primes):
@@ -176,6 +178,17 @@ class BaseConverter:
             for j, p in enumerate(self.target.primes):
                 out[j, col] = value % p
         return out
+
+
+@lru_cache(maxsize=None)
+def inverse_column(basis: RnsBasis, value: int) -> np.ndarray:
+    """``value^{-1} mod q_i`` for every prime of ``basis``, as a read-only
+    ``(l, 1)`` column; computed once per basis and value (``P`` for
+    ModDown, the dropped prime for rescaling)."""
+    column = np.array([modinv(value % q, q) for q in basis.primes],
+                      dtype=np.int64)[:, None]
+    column.flags.writeable = False
+    return column
 
 
 _CONVERTER_CACHE: Dict[Tuple[RnsBasis, RnsBasis], BaseConverter] = {}

@@ -52,7 +52,7 @@ class TestModUp:
         poly = ctx.sample_uniform(ctx.q_basis)
         digit = switcher.decompose(poly)[0]
         target = RnsBasis(ctx.q_basis.primes + ctx.p_basis.primes)
-        raised = switcher.mod_up(digit, target)
+        (raised,) = switcher.mod_up([digit], target)
         assert np.array_equal(raised.limbs[0], poly.limbs[0])
         assert np.array_equal(raised.limbs[1], poly.limbs[1])
 
@@ -62,7 +62,8 @@ class TestModUp:
         poly = ctx.sample_uniform(ctx.q_basis).to_coeff()
         digit = switcher.decompose(poly)[0]
         target = RnsBasis(ctx.q_basis.primes + ctx.p_basis.primes)
-        raised = switcher.mod_up(digit, target).to_coeff()
+        (raised,) = switcher.mod_up([digit], target)
+        raised = raised.to_coeff()
         digit_primes = digit.basis.primes
         d_mod = digit.basis.modulus
         # Reconstruct the digit value at a few coefficients.
@@ -88,7 +89,7 @@ class TestModDown:
         # Build P*x over the raised basis: multiply limb-wise by P mod prime.
         p_mod = ctx.p_modulus
         px = x.scalar_multiply([p_mod % p for p in raised.primes]).to_ntt()
-        down = switcher.mod_down(px, q_basis)
+        (down,) = switcher.mod_down([px], q_basis)
         expected = x.to_ntt().keep_limbs(range(len(q_basis)))
         assert down == expected
 
@@ -100,7 +101,7 @@ class TestModDown:
         small = [3, -7, 100] + [0] * 61
         from repro.fhe.poly import RnsPolynomial
         y = RnsPolynomial.from_int_coeffs(small, 64, raised).to_ntt()
-        down = switcher.mod_down(y, q_basis)
+        (down,) = switcher.mod_down([y], q_basis)
         # y/P rounds to zero; allow |result| <= 1.
         coeffs = down.keep_limbs(range(len(q_basis))).integer_coefficients()
         assert max(abs(c) for c in coeffs) <= 1
@@ -109,7 +110,7 @@ class TestModDown:
         ctx, _, _, switcher = setup
         poly = ctx.sample_uniform(ctx.q_basis)
         with pytest.raises(ValueError):
-            switcher.mod_down(poly, ctx.q_basis)
+            switcher.mod_down([poly], ctx.q_basis)
 
 
 class TestFullSwitch:

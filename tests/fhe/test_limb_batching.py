@@ -8,7 +8,12 @@ kept in this file:
 * ModUp, ModDown and the full key switch against per-digit pipelines
   built from one-basis NTTs and that loop;
 * the NTT-form automorphism against the coefficient-form walk, for
-  every Galois element.
+  every Galois element;
+* stacked NTTs and the paired rescale against one call per polynomial.
+
+The last test counts the NTT calls and limb rows of one bootstrap, so a
+change to the batching shows whether it moved rows between calls or
+dropped work.
 """
 
 from __future__ import annotations
@@ -16,9 +21,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.fhe import CkksContext, CkksParams, KeyGenerator, KeySwitcher
+from repro.fhe import (
+    BootstrapConfig,
+    Bootstrapper,
+    Ciphertext,
+    CkksContext,
+    CkksParams,
+    CkksScheme,
+    Evaluator,
+    KeyGenerator,
+    KeySwitcher,
+)
 from repro.fhe.keys import conjugation_element, galois_element_for_rotation
-from repro.fhe.ntt import get_ntt_context
+from repro.fhe.ntt import NttContext, get_ntt_context
 from repro.fhe.poly import RnsPolynomial
 from repro.fhe.primes import generate_prime_chain
 from repro.fhe.rns import BaseConverter, RnsBasis
@@ -220,6 +235,33 @@ class TestKeySwitchMatchesPerDigit:
             expected = mod_up_reference(poly.keep_limbs(idx), raised)
             assert np.array_equal(digit.limbs, expected)
 
+    @pytest.mark.parametrize("ntt", [True, False])
+    @pytest.mark.parametrize("num_limbs", LEVELS)
+    def test_mod_up_equals_per_digit_calls(self, keyed, num_limbs, ntt):
+        ctx, switcher, _, _, _ = keyed
+        poly = ctx.sample_uniform(ctx.basis_at_level(num_limbs), ntt=ntt)
+        raised = RnsBasis(poly.basis.primes + ctx.p_basis.primes)
+        digits = switcher.decompose(poly)
+        batched = switcher.mod_up(digits, raised)
+        assert len(batched) == len(digits)
+        for digit, out in zip(digits, batched):
+            (single,) = switcher.mod_up([digit], raised)
+            assert out == single
+            assert np.array_equal(out.limbs, mod_up_reference(digit, raised))
+
+    @pytest.mark.parametrize("num_limbs", LEVELS)
+    def test_mod_down_pair_equals_single_calls(self, keyed, num_limbs):
+        ctx, switcher, _, _, _ = keyed
+        q_basis = ctx.basis_at_level(num_limbs)
+        raised = RnsBasis(q_basis.primes + ctx.p_basis.primes)
+        pair = [ctx.sample_uniform(raised), ctx.sample_uniform(raised)]
+        batched = switcher.mod_down(pair, q_basis)
+        for poly, out in zip(pair, batched):
+            (single,) = switcher.mod_down([poly], q_basis)
+            assert out == single
+            expected = mod_down_reference(poly.limbs, q_basis, ctx.p_basis)
+            assert np.array_equal(out.limbs, expected)
+
     @pytest.mark.parametrize("num_limbs", LEVELS)
     def test_switch_hoisted(self, keyed, num_limbs):
         ctx, switcher, _, g, rotation = keyed
@@ -269,3 +311,123 @@ class TestNttFormAutomorphism:
         assert poly.automorphism(5 + 2 * n) == poly.automorphism(5)
         with pytest.raises(ValueError):
             poly.automorphism(4)
+
+
+# ----------------------------------------------------------------------
+# Stacked transforms and rescale
+# ----------------------------------------------------------------------
+
+
+class TestStackedTransforms:
+    def test_batch_axis_equals_one_call_per_matrix(self, rng):
+        primes = generate_prime_chain(4, 31, 64)
+        ctx = NttContext(64, primes)
+        stack = np.stack(
+            [np.stack([rng.integers(0, q, 64) for q in primes]) for _ in range(3)]
+        )
+        for transform in (ctx.forward, ctx.inverse):
+            out = transform(stack)
+            assert out.shape == stack.shape
+            for matrix, row in zip(stack, out):
+                assert np.array_equal(row, transform(matrix))
+
+    def test_repeated_primes_equal_one_prime_contexts(self, rng):
+        primes = generate_prime_chain(2, 31, 64)
+        repeated = primes + primes[::-1] + primes
+        limbs = np.stack([rng.integers(0, q, 64) for q in repeated])
+        out = NttContext(64, repeated).forward(limbs)
+        for row, q, limb in zip(out, repeated, limbs):
+            assert np.array_equal(row, NttContext(64, q).forward(limb))
+
+    def test_wrong_shape_rejected(self):
+        ctx = NttContext(64, generate_prime_chain(2, 31, 64))
+        with pytest.raises(ValueError):
+            ctx.forward(np.zeros((2, 3, 64), dtype=np.int64))
+
+    @pytest.mark.parametrize("num_limbs", [7, 2])
+    def test_rescale_equals_per_polynomial_reference(self, keyed, num_limbs):
+        ctx = keyed[0]
+        basis = ctx.basis_at_level(num_limbs)
+        ct = Ciphertext(
+            ctx.sample_uniform(basis), ctx.sample_uniform(basis), 2.0**24, 32
+        )
+        out = Evaluator(ctx).rescale(ct)
+        n = ct.ring_degree
+        q_last = basis.primes[-1]
+        remaining = basis.primes[:-1]
+        q = np.array(remaining, dtype=np.int64)[:, None]
+        inv = np.array([pow(q_last % qi, -1, qi) for qi in remaining])[:, None]
+        for poly, image in ((ct.c0, out.c0), (ct.c1, out.c1)):
+            last = get_ntt_context(n, q_last).inverse(poly.limbs[-1])
+            centered = np.where(last > q_last // 2, last - q_last, last)
+            lifted = get_ntt_context(n, remaining).forward(
+                np.tile(centered, (len(remaining), 1))
+            )
+            expected = (poly.limbs[:-1] - lifted) % q * inv % q
+            assert image.basis.primes == remaining
+            assert np.array_equal(image.limbs, expected)
+
+
+# ----------------------------------------------------------------------
+# Row conservation
+# ----------------------------------------------------------------------
+
+# NTT calls and limb rows of one bootstrap at the tier-1 parameters.
+FORWARD_CALLS, FORWARD_ROWS = 361, 8621
+INVERSE_CALLS, INVERSE_ROWS = 187, 1689
+# When every NTT-form automorphism ran an inverse and a forward NTT over
+# its limbs, and ModUp, ModDown and rescale made one call per digit or
+# per polynomial, the same bootstrap made 654 forward calls over 9,557
+# rows and 480 inverse calls over 2,625 rows.
+UNBATCHED_FORWARD_ROWS, UNBATCHED_INVERSE_ROWS = 9557, 2625
+
+
+def test_one_bootstrap_transforms_every_row_once(monkeypatch, rng):
+    """Batching merges calls but skips no rows: the only rows that left
+    the count are the NTT-form automorphisms', now permutations."""
+    scheme = CkksScheme(
+        CkksParams(
+            ring_degree=64,
+            num_limbs=19,
+            scale_bits=25,
+            dnum=4,
+            hamming_weight=8,
+            first_prime_bits=30,
+            seed=7,
+            num_extension_limbs=8,
+        )
+    )
+    boot = Bootstrapper(scheme, BootstrapConfig(eval_mod_degree=63, modulus_range=8))
+    z = rng.uniform(-0.5, 0.5, 32)
+    ct = scheme.evaluator.mod_down_to(scheme.encrypt(z), 1)
+
+    counts = {"forward": [0, 0], "inverse": [0, 0], "automorphism": 0}
+
+    def counted(name):
+        transform = getattr(NttContext, name)
+
+        def wrapper(self, x):
+            counts[name][0] += 1
+            counts[name][1] += np.size(x) // self.ring_degree
+            return transform(self, x)
+
+        return wrapper
+
+    automorphism = RnsPolynomial.automorphism
+
+    def counted_automorphism(self, g):
+        if self.is_ntt:
+            counts["automorphism"] += len(self.basis)
+        return automorphism(self, g)
+
+    monkeypatch.setattr(NttContext, "forward", counted("forward"))
+    monkeypatch.setattr(NttContext, "inverse", counted("inverse"))
+    monkeypatch.setattr(RnsPolynomial, "automorphism", counted_automorphism)
+    out = boot.bootstrap(ct)
+    monkeypatch.undo()
+
+    assert counts["forward"] == [FORWARD_CALLS, FORWARD_ROWS]
+    assert counts["inverse"] == [INVERSE_CALLS, INVERSE_ROWS]
+    assert FORWARD_ROWS + counts["automorphism"] == UNBATCHED_FORWARD_ROWS
+    assert INVERSE_ROWS + counts["automorphism"] == UNBATCHED_INVERSE_ROWS
+    assert np.max(np.abs(scheme.decrypt(out) - z)) < 0.05
