@@ -179,13 +179,17 @@ def _prime_tables(ring_degree: int,
 
 def _twiddle_row(root: int, modulus: int, ring_degree: int) -> np.ndarray:
     """Powers of ``root`` in bit-reversed order, as used stage-by-stage
-    by the iterative Cooley–Tukey network (Longa–Naehrig layout)."""
+    by the iterative Cooley–Tukey network (Longa–Naehrig layout).
+
+    Stored as int32, half the memory of int64: every twiddle is below
+    the modulus < 2^31, and a product with an int64 residue row is
+    computed in int64."""
     raw = [1]
     for _ in range(ring_degree - 1):
         raw.append(raw[-1] * root % modulus)
     log_degree = ilog2(ring_degree)
     row = np.array([raw[bit_reverse(i, log_degree)]
-                    for i in range(ring_degree)], dtype=np.int64)
+                    for i in range(ring_degree)], dtype=np.int32)
     row.flags.writeable = False
     return row
 
