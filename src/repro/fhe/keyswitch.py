@@ -65,7 +65,8 @@ class KeySwitcher:
         one inverse NTT; each digit converts to its own new limbs; and
         the new limbs of all digits, stacked over their repeated primes,
         cross one forward NTT.  The base-conversion overflow (a multiple
-        of the digit modulus) provably cancels in ModDown.
+        of the digit modulus) provably cancels in ModDown.  The digits,
+        as :meth:`decompose` returns them, share one representation.
         """
         n = digits[0].ring_degree
         stacked = RnsPolynomial(

@@ -83,8 +83,8 @@ class NttContext:
         shape = (len(self.moduli), self.ring_degree)
         if a.shape[-2:] != shape and not (a.shape == shape[1:]
                                           and shape[0] == 1):
-            raise ValueError(f"expected shape (..., *{shape}), "
-                             f"got {a.shape}")
+            raise ValueError(f"expected shape (..., {shape[0]}, "
+                             f"{shape[1]}), got {a.shape}")
         return a.reshape((-1,) + shape) % self._q
 
     def forward(self, coeffs: np.ndarray) -> np.ndarray:

@@ -38,6 +38,7 @@ from repro.fhe.poly import RnsPolynomial
 from repro.fhe.primes import generate_prime_chain
 from repro.fhe.rns import BaseConverter, RnsBasis
 
+
 # ----------------------------------------------------------------------
 # References
 # ----------------------------------------------------------------------
