@@ -74,14 +74,22 @@ def test_fast_path_matches_baseline_cache_stats():
     b = JobClass("b", 1, ("k3",), 150)
     fast = KeyCache(capacity_bytes=350)
     slow = BaselineKeyCache(capacity_bytes=350)
+    loads = []
     for tenant, job_class in [("t0", a), ("t1", a), ("t0", b),
                               ("t0", a), ("t2", b), ("t1", a)]:
-        assert fast.request(tenant, job_class) == \
-            slow.request(tenant, job_class)
+        loads.append(slow.request(tenant, job_class))
+        assert fast.request(tenant, job_class) == loads[-1]
         assert fast.stats() == slow.stats()
     assert fast.evictions > 0           # the stream overflows 350B
     assert fast.bytes_evicted > 0
     assert fast.hit_rate == slow.hit_rate
+    assert loads == [200, 200, 150, 200, 150, 200]
+    assert slow.stats() == {"hits": 0, "misses": 10, "bytes_loaded": 1100,
+                            "evictions": 7, "bytes_evicted": 750,
+                            "resident_bytes": 350}
+    assert slow.hit_rate == 0.0
+    assert list(slow._resident) == [("t2", "k3"), ("t1", "k1"),
+                                    ("t1", "k2")]
 
 
 def test_key_cache_stats_counters():

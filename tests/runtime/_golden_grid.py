@@ -1,6 +1,6 @@
 """Shared run grids for the bit-identity regression suites.
 
-Two grids, two golden files under ``tests/runtime/data/``:
+Three grids, three golden files under ``tests/runtime/data/``:
 
 * ``golden_fault_free.json`` — fixed-pool runs on both engines,
   generated against the PR 7 tree (before the fault-injection work
@@ -13,10 +13,19 @@ Two grids, two golden files under ``tests/runtime/data/``:
   Every report field is pinned, so any drift in
   fault settlement, retry timing, drain arbitration or key residency
   on the membership path fails by name.
+* ``golden_fifo_baseline.json`` — fixed-pool ``fifo`` DES runs that
+  the pre-heap event loop (the ``serving_baseline`` module) served
+  bit-identically when the file was written: the canned scenarios,
+  an SLO-annotated mix, a tenant-heavy thrashing cache, a serial
+  single board and the striped suite's merged one-board run.  Each
+  point carries its own simulator arguments.
 
 Regenerate (only when an intentional behavior change is being blessed):
 
-    PYTHONPATH=src python tests/runtime/_golden_grid.py [fault_free|membership]
+    PYTHONPATH=src python tests/runtime/_golden_grid.py [GRID]
+
+where ``GRID`` is ``fault_free`` (the default), ``membership`` or
+``fifo_baseline``.
 """
 from __future__ import annotations
 
@@ -26,13 +35,15 @@ import os
 import sys
 from typing import Dict, Iterator, Tuple
 
-from repro.runtime.policies import PriceSignal
-from repro.runtime.serving import (ServingSimulator, build_scenarios,
-                                   build_slo_scenario)
+from repro.runtime import (JobClass, OpTrace, PriceSignal, Scenario,
+                           ServingSimulator, Stream, StripePlan,
+                           build_job_classes, build_scenarios,
+                           build_slo_scenario, stripe_trace)
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 DATA_PATH = os.path.join(DATA_DIR, "golden_fault_free.json")
 MEMBERSHIP_PATH = os.path.join(DATA_DIR, "golden_membership.json")
+FIFO_BASELINE_PATH = os.path.join(DATA_DIR, "golden_fifo_baseline.json")
 
 NUM_DEVICES = 4
 DURATION_S = 0.5
@@ -111,22 +122,122 @@ def membership_runs() -> Iterator[Tuple[str, Dict]]:
                 seed=1, policy="edf", **MEMBERSHIP_FAULTS))
 
 
+#: The striped suite's batch, shared with ``test_striped_serving.py``.
+STRIPE = 4
+GROUPS = 24          # divisible by STRIPE: every shard is identical
+GROUP_OPS = 2
+
+
+def batch_trace() -> OpTrace:
+    """GROUPS identical two-op groups: an embarrassing batch."""
+    trace = OpTrace("batchy")
+    for _ in range(GROUPS):
+        trace.record("multiply", 6)
+        trace.record("rotate", 6, step=1)
+    return trace
+
+
+def batch_plan() -> StripePlan:
+    return StripePlan.all_parallel(GROUPS * GROUP_OPS, group_size=GROUP_OPS)
+
+
+def shard_class() -> JobClass:
+    """One board's shard of :func:`batch_trace`, lowered single-board."""
+    shard = stripe_trace(batch_trace(), STRIPE, plan=batch_plan()).shards[0]
+    return JobClass.from_trace(shard)
+
+
+def batch_scenario(job_class: JobClass, name: str) -> Scenario:
+    return Scenario(name, 0.4, [
+        Stream(job_class, rate_per_s=150.0, num_tenants=3,
+               tenant_prefix="t")])
+
+
+def fifo_baseline_runs() -> Iterator[Tuple[str, Dict]]:
+    """Yield ``(key, run_kwargs)`` pairs for every input the fifo
+    oracle tests pin; ``run_kwargs["simulator"]`` holds the
+    ``ServingSimulator`` arguments."""
+    scenarios = build_scenarios(num_devices=NUM_DEVICES,
+                                duration_s=DURATION_S)
+    for seed in (0, 3):
+        for name in ("interactive", "batch", "analytics", "mixed"):
+            yield (f"{name}/seed{seed}",
+                   dict(scenario=scenarios[name], seed=seed,
+                        simulator=dict(num_devices=NUM_DEVICES)))
+    yield ("slo_mixed/seed2",
+           dict(scenario=build_slo_scenario(num_devices=3, duration_s=0.3,
+                                            target_load=0.8),
+                seed=2, simulator=dict(num_devices=3)))
+    classes = build_job_classes()
+    contended = Scenario("contended", 0.4, [
+        Stream(cls, rate_per_s=400.0, num_tenants=16)
+        for cls in classes.values()])
+    yield ("contended/seed9",
+           dict(scenario=contended, seed=9,
+                simulator=dict(
+                    num_devices=3, max_batch=2,
+                    key_cache_bytes=2 * classes["lr_inference"].key_bytes)))
+    serial = Scenario("serial", 0.3, [
+        Stream(classes["lr_inference"], rate_per_s=150.0, num_tenants=2)])
+    yield ("serial/seed5",
+           dict(scenario=serial, seed=5,
+                simulator=dict(num_devices=1, max_batch=1)))
+    yield ("merged/seed11",
+           dict(scenario=batch_scenario(shard_class(), "merged"), seed=11,
+                simulator=dict(num_devices=1)))
+
+
+def normalize(report) -> Dict:
+    """A report as JSON-normalized plain data (so tuple-vs-list and
+    int-key-vs-str-key artifacts of JSON storage never produce false
+    diffs)."""
+    return json.loads(json.dumps(dataclasses.asdict(report)))
+
+
 def report_dict(run_kwargs: Dict) -> Dict:
-    """Run one grid point and return its report as JSON-normalized
-    plain data (so tuple-vs-list and int-key-vs-str-key artifacts of
-    JSON storage never produce false diffs)."""
+    """Run one grid point and return its report, normalized.
+    A point without a ``simulator`` entry runs on ``NUM_DEVICES``
+    boards with the default simulator arguments."""
     kwargs = dict(run_kwargs)
     scenario = kwargs.pop("scenario")
     seed = kwargs.pop("seed")
-    sim = ServingSimulator(num_devices=NUM_DEVICES)
-    report = sim.run(scenario, seed=seed, **kwargs)
-    return json.loads(json.dumps(dataclasses.asdict(report)))
+    sim = ServingSimulator(**kwargs.pop("simulator",
+                                        dict(num_devices=NUM_DEVICES)))
+    return normalize(sim.run(scenario, seed=seed, **kwargs))
+
+
+def drift(want: Dict, got: Dict) -> Dict:
+    """Fields whose values differ between a golden entry and a run,
+    as ``{field: (want, got)}``; NaN equals NaN and a field missing
+    from the run counts as a difference."""
+    def canonical(value) -> str:
+        # float repr round-trips exactly, and NaN == NaN as text.
+        return json.dumps(value, sort_keys=True)
+    return {field: (want[field], got.get(field)) for field in want
+            if field not in got
+            or canonical(got[field]) != canonical(want[field])}
+
+
+def load_golden(path: str) -> Dict[str, Dict]:
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def assert_matches_golden(golden: Dict[str, Dict], key: str,
+                          got: Dict) -> None:
+    """Fail by field name unless ``got`` reproduces ``golden[key]``."""
+    assert key in golden, f"no golden entry for {key}; regenerate the grid"
+    mismatched = drift(golden[key], got)
+    assert not mismatched, (
+        f"{key}: report drifted from the golden on {sorted(mismatched)}: "
+        f"{mismatched}")
 
 
 #: Script argument -> (golden file, grid).
 GRIDS = {
     "fault_free": (DATA_PATH, golden_runs),
     "membership": (MEMBERSHIP_PATH, membership_runs),
+    "fifo_baseline": (FIFO_BASELINE_PATH, fifo_baseline_runs),
 }
 
 

@@ -12,6 +12,9 @@ there too — including with ``--stripe K`` gang dispatch, which the
 baseline loop predates.
 """
 
+import pathlib
+import sys
+
 import pytest
 
 from repro.core import FabConfig
@@ -23,9 +26,21 @@ from repro.runtime import (
     build_slo_scenario,
 )
 
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
+from _golden_grid import (  # noqa: E402
+    FIFO_BASELINE_PATH,
+    assert_matches_golden,
+    fifo_baseline_runs,
+    load_golden,
+    normalize,
+    report_dict,
+)
+
 CONFIG = FabConfig()
 SCENARIO_NAMES = ("interactive", "batch", "analytics", "mixed")
 SEEDS = (0, 3)
+GOLDEN = load_golden(FIFO_BASELINE_PATH)
+POINTS = dict(fifo_baseline_runs())
 
 
 def assert_reports_identical(got, want, check_policy_fields=True):
@@ -68,12 +83,15 @@ class TestFifoMatchesBaseline:
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
     @pytest.mark.parametrize("seed", SEEDS)
     def test_canned_scenarios(self, name, seed):
+        key = f"{name}/seed{seed}"
+        assert_matches_golden(GOLDEN, key, report_dict(POINTS[key]))
         scenarios = build_scenarios(CONFIG, num_devices=4, duration_s=0.5)
         sim = ServingSimulator(CONFIG, num_devices=4)
         fast = sim.run(scenarios[name], seed=seed, policy="fifo")
         slow = baseline_run(sim, scenarios[name], seed=seed)
         assert fast.policy == slow.policy == "fifo"
         assert_reports_identical(fast, slow)
+        assert_matches_golden(GOLDEN, key, normalize(slow))
 
     def test_policy_instance_equals_name(self):
         scenarios = build_scenarios(CONFIG, num_devices=2, duration_s=0.4)
@@ -103,6 +121,9 @@ class TestFifoMatchesBaseline:
         slow = baseline_run(sim, scenario, seed=2)
         assert fast.slo_attainment is not None
         assert_reports_identical(fast, slow)
+        key = "slo_mixed/seed2"
+        assert_matches_golden(GOLDEN, key, report_dict(POINTS[key]))
+        assert_matches_golden(GOLDEN, key, normalize(slow))
 
 
 class TestUnannotatedPoliciesDegradeToFifo:

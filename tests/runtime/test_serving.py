@@ -1,5 +1,10 @@
 """Tests for the multi-tenant serving simulator."""
 
+import hashlib
+import json
+import pathlib
+import sys
+
 import pytest
 
 from repro.core import FabConfig
@@ -7,6 +12,19 @@ from repro.runtime import (BaselineKeyCache, JobClass, KeyCache, Scenario,
                            ServingSimulator, Stream, baseline_run,
                            build_job_classes, build_scenarios,
                            lr_inference_trace, percentile)
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
+from _golden_grid import (FIFO_BASELINE_PATH,  # noqa: E402
+                          assert_matches_golden, fifo_baseline_runs,
+                          load_golden, normalize, report_dict)
+
+GOLDEN = load_golden(FIFO_BASELINE_PATH)
+POINTS = dict(fifo_baseline_runs())
+
+#: SHA-256 of the JSON list of per-step ``(miss_bytes, resident_bytes)``
+#: the original quadratic LRU returned on the seeded 400-request stream.
+BASELINE_CACHE_STEPS_SHA256 = (
+    "e29aa34817b4bd66f5f9151d002e2798ac5f7e9f86bac25ccf7023ffc91e4cd7")
 
 
 @pytest.fixture(scope="module")
@@ -109,14 +127,29 @@ class TestKeyCache:
         fast = KeyCache(capacity_bytes=3 * classes[0].key_bytes)
         slow = BaselineKeyCache(capacity_bytes=3 * classes[0].key_bytes)
         rng = random.Random(42)
+        steps = []
         for _ in range(400):
             tenant = f"t{rng.randrange(6)}"
             job = rng.choice(classes)
-            assert fast.request(tenant, job) == slow.request(tenant, job)
+            miss_bytes = slow.request(tenant, job)
+            assert fast.request(tenant, job) == miss_bytes
             assert fast.resident_bytes == slow.resident_bytes
+            steps.append((miss_bytes, slow.resident_bytes))
         assert (fast.hits, fast.misses, fast.bytes_loaded) == \
                (slow.hits, slow.misses, slow.bytes_loaded)
         assert list(fast._resident) == list(slow._resident)
+        digest = hashlib.sha256(json.dumps(steps).encode()).hexdigest()
+        assert digest == BASELINE_CACHE_STEPS_SHA256
+        assert slow.stats() == {
+            "hits": 1595, "misses": 2767, "bytes_loaded": 235014193152,
+            "evictions": 2740, "bytes_evicted": 232720957440,
+            "resident_bytes": 2293235712}
+        lr_keys = ("rot1", "rot2", "rot4", "rot8", "rot16", "rot32",
+                   "rot64", "rot128", "rot256", "conj", "relin")
+        assert list(slow._resident) == (
+            [("t0", k) for k in ("rot256", "rot512", "rot1024", "rot2048",
+                                 "relin")]
+            + [("t1", k) for k in lr_keys] + [("t5", k) for k in lr_keys])
 
 
 class TestJobClass:
@@ -248,16 +281,22 @@ class TestFastLoopMatchesBaseline:
             for cls in job_classes.values()])
         sim = ServingSimulator(config, num_devices=3, max_batch=2,
                                key_cache_bytes=2 * job.key_bytes)
-        self._assert_identical(sim.run(scenario, seed=9),
-                               baseline_run(sim, scenario, seed=9))
+        slow = baseline_run(sim, scenario, seed=9)
+        self._assert_identical(sim.run(scenario, seed=9), slow)
+        key = "contended/seed9"
+        assert_matches_golden(GOLDEN, key, report_dict(POINTS[key]))
+        assert_matches_golden(GOLDEN, key, normalize(slow))
 
     def test_single_device_serial_batches(self, config, job_classes):
         scenario = Scenario("serial", 0.3, [
             Stream(job_classes["lr_inference"], rate_per_s=150.0,
                    num_tenants=2)])
         sim = ServingSimulator(config, num_devices=1, max_batch=1)
-        self._assert_identical(sim.run(scenario, seed=5),
-                               baseline_run(sim, scenario, seed=5))
+        slow = baseline_run(sim, scenario, seed=5)
+        self._assert_identical(sim.run(scenario, seed=5), slow)
+        key = "serial/seed5"
+        assert_matches_golden(GOLDEN, key, report_dict(POINTS[key]))
+        assert_matches_golden(GOLDEN, key, normalize(slow))
 
 
 class TestScenarios:

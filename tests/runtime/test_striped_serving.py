@@ -10,55 +10,40 @@ into every gang board's HBM, so the striped pool loads exactly k times
 the bytes.
 """
 
+import pathlib
+import sys
+
 import pytest
 
 from repro.core import FabConfig
-from repro.runtime import (JobClass, OpTrace, Scenario,
-                           ServingSimulator, Stream, StripePlan,
+from repro.runtime import (JobClass, Scenario, ServingSimulator, Stream,
                            baseline_run, stripe_trace)
 
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
+from _golden_grid import (FIFO_BASELINE_PATH, STRIPE,  # noqa: E402
+                          assert_matches_golden, batch_plan,
+                          batch_scenario, batch_trace, fifo_baseline_runs,
+                          load_golden, normalize, report_dict)
+
 CONFIG = FabConfig()
-
-STRIPE = 4
-GROUPS = 24          # divisible by STRIPE: every shard is identical
-GROUP_OPS = 2
-
-
-def _batch_trace() -> OpTrace:
-    """GROUPS identical two-op groups: an embarrassing batch."""
-    trace = OpTrace("batchy")
-    for _ in range(GROUPS):
-        trace.record("multiply", 6)
-        trace.record("rotate", 6, step=1)
-    return trace
+GOLDEN = load_golden(FIFO_BASELINE_PATH)
+MERGED = "merged/seed11"
 
 
 @pytest.fixture(scope="module")
 def striped_class() -> JobClass:
-    return JobClass.from_trace(
-        _batch_trace(), CONFIG, num_fpgas=STRIPE,
-        plan=StripePlan.all_parallel(GROUPS * GROUP_OPS,
-                                     group_size=GROUP_OPS),
-        comm_scale=0.0)
+    return JobClass.from_trace(batch_trace(), CONFIG, num_fpgas=STRIPE,
+                               plan=batch_plan(), comm_scale=0.0)
 
 
 @pytest.fixture(scope="module")
 def shard_class() -> JobClass:
     """One board's shard of the same batch, lowered single-board."""
-    striped = stripe_trace(
-        _batch_trace(), STRIPE,
-        plan=StripePlan.all_parallel(GROUPS * GROUP_OPS,
-                                     group_size=GROUP_OPS),
-        config=CONFIG)
+    striped = stripe_trace(batch_trace(), STRIPE, plan=batch_plan(),
+                           config=CONFIG)
     shard = striped.shards[0]
     assert all(len(s) == len(shard) for s in striped.shards)
     return JobClass.from_trace(shard, CONFIG)
-
-
-def _scenario(job_class: JobClass, name: str) -> Scenario:
-    return Scenario(name, 0.4, [
-        Stream(job_class, rate_per_s=150.0, num_tenants=3,
-               tenant_prefix="t")])
 
 
 class TestStripedEqualsMergedSingleBoard:
@@ -67,12 +52,15 @@ class TestStripedEqualsMergedSingleBoard:
 
     def _reports(self, striped_class, shard_class):
         striped_sim = ServingSimulator(CONFIG, num_devices=STRIPE)
-        striped = striped_sim.run(_scenario(striped_class, "striped"),
+        striped = striped_sim.run(batch_scenario(striped_class, "striped"),
                                   seed=11)
         single_sim = ServingSimulator(CONFIG, num_devices=1)
-        scenario = _scenario(shard_class, "merged")
+        scenario = batch_scenario(shard_class, "merged")
         merged = single_sim.run(scenario, seed=11)
         baseline = baseline_run(single_sim, scenario, seed=11)
+        assert_matches_golden(GOLDEN, MERGED, normalize(baseline))
+        assert_matches_golden(GOLDEN, MERGED,
+                              report_dict(dict(fifo_baseline_runs())[MERGED]))
         return striped, merged, baseline
 
     def test_same_cycles_per_job(self, striped_class, shard_class):
@@ -116,12 +104,12 @@ class TestStripedDispatch:
     def test_stripe_wider_than_pool_rejected(self, striped_class):
         sim = ServingSimulator(CONFIG, num_devices=STRIPE - 2)
         with pytest.raises(ValueError, match="stripes over"):
-            sim.run(_scenario(striped_class, "toowide"), seed=0)
+            sim.run(batch_scenario(striped_class, "toowide"), seed=0)
 
     def test_baseline_rejects_striped_classes(self, striped_class):
         sim = ServingSimulator(CONFIG, num_devices=STRIPE)
         with pytest.raises(ValueError, match="predates striping"):
-            baseline_run(sim, _scenario(striped_class, "nope"), seed=0)
+            baseline_run(sim, batch_scenario(striped_class, "nope"), seed=0)
 
     def test_invalid_num_fpgas(self):
         with pytest.raises(ValueError):
@@ -153,7 +141,7 @@ class TestStripedDispatch:
         summing per-device jobs_done keeps the baseline's semantics
         (every job exactly once, credited to the gang master)."""
         sim = ServingSimulator(CONFIG, num_devices=STRIPE)
-        scenario = _scenario(striped_class, "count")
+        scenario = batch_scenario(striped_class, "count")
         jobs = scenario.generate(seed=2)
         report = sim.run(scenario, seed=2)
         assert report.jobs_done == len(jobs)
@@ -163,7 +151,7 @@ class TestStripedDispatch:
         """With jobs striped across the whole pool, devices are busy
         the same amount: the gang always moves together."""
         sim = ServingSimulator(CONFIG, num_devices=STRIPE)
-        scenario = _scenario(striped_class, "gang")
+        scenario = batch_scenario(striped_class, "gang")
         jobs = scenario.generate(seed=2)
         assert jobs, "scenario must produce arrivals"
         report = sim.run(scenario, seed=2)
