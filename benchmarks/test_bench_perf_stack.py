@@ -1,21 +1,18 @@
-"""Perf-stack bench: fast paths vs their in-tree naive baselines.
-
-Measures, in one run, the three sweep-scale hot paths this repo
-optimized against the reference implementations it keeps for exactly
-this purpose:
+"""Perf-stack bench: the three sweep-scale hot paths this repo optimized.
 
 * scheduler — heap-driven ``TaskGraph.schedule`` vs the
   frontier-scanning ``schedule_reference`` on a seeded layered DAG;
 * lowering — memoized per-op costing vs a cold cost cache on the
   paper-scale bootstrap trace;
-* serving — the heap-driven event loop vs
-  ``serving_baseline.baseline_run`` on a tenant-heavy scenario
-  (256 tenants x 3 classes, thrashing key cache).
+* serving — the DES on a tenant-heavy scenario (3 classes, thrashing
+  key cache) at 256 and at 1024 tenants per class.  Both serve the
+  same 15,923 jobs, so the host-time ratio measures dispatch work
+  that grows with the number of (class, tenant) queues.
 
 Results land in ``BENCH_perf_stack.json`` at the repo root, seeding
-the tracked perf trajectory.  The serving fast path must hold a >= 5x
-speedup over the pre-optimization loop, measured in the same run; the
-asserted floor is what CI's perf-smoke step enforces.
+the tracked perf trajectory.  The serving tenant-scaling ratio must
+stay <= 1.5 (<= 2.5 without ``PERF_SMOKE``); the asserted ceiling is
+what CI's perf-smoke step enforces.
 """
 
 import json
@@ -30,7 +27,6 @@ from repro.runtime.lowering import cost_trace
 from repro.runtime.reference import bootstrap_trace
 from repro.runtime.serving import (Scenario, ServingSimulator, Stream,
                                    build_job_classes)
-from repro.runtime.serving_baseline import baseline_run
 
 #: Tracked baseline artifact name.  Where a run writes it is the
 #: ``bench_out_dir`` fixture's call: ``build/bench/`` by default, the
@@ -103,42 +99,55 @@ def test_bench_perf_stack(bench_out_dir):
         "ops_per_s": len(trace) / warm_s,
     }
 
-    # Serving: heap-driven loop vs the preserved pre-PR loop on a
-    # tenant-heavy, cache-thrashed mix — the sweep-scale regime.
+    # Serving: the DES on a tenant-heavy, cache-thrashed mix — the
+    # sweep-scale regime — at 256 and 1024 tenants per class.  Tenants
+    # only relabel the same arrivals, so the two runs serve the same
+    # jobs; their host times are taken alternately, so a slow stretch
+    # of the host slows both sides alike.
     classes = build_job_classes(config)
     inference = classes["lr_inference"]
     rate = 0.9 * 8 / inference.seconds(config)
-    scenario = Scenario("bench_heavy", 8.0, [
-        Stream(job_class, rate / 3, num_tenants=256)
-        for job_class in classes.values()])
     simulator = ServingSimulator(config, num_devices=8, max_batch=2,
                                  key_cache_bytes=4 * inference.key_bytes)
-    fast_serve_s, fast_report = _best_of(
-        lambda: simulator.run(scenario, seed=3), repeats=2)
-    base_serve_s, base_report = _best_of(
-        lambda: baseline_run(simulator, scenario, seed=3), repeats=1)
-    assert fast_report == base_report    # bit-identical, same run
-    serving_speedup = base_serve_s / fast_serve_s
+
+    def serve(tenants):
+        scenario = Scenario("bench_heavy", 8.0, [
+            Stream(job_class, rate / 3, num_tenants=tenants)
+            for job_class in classes.values()])
+        return lambda: simulator.run(scenario, seed=3)
+
+    small_s = large_s = float("inf")
+    for _ in range(5):
+        run_s, small = _best_of(serve(256), repeats=1)
+        small_s = min(small_s, run_s)
+        run_s, large = _best_of(serve(1024), repeats=1)
+        large_s = min(large_s, run_s)
+    assert small.jobs_done == large.jobs_done
+    tenant_scaling = large_s / small_s
     results["serving"] = {
-        "jobs": fast_report.jobs_done,
-        "batches": fast_report.batches,
+        "jobs": small.jobs_done,
+        "batches": small.batches,
         "tenant_queues": 3 * 256,
-        "fast_s": fast_serve_s,
-        "baseline_s": base_serve_s,
-        "speedup": serving_speedup,
-        "jobs_per_s": fast_report.jobs_done / fast_serve_s,
+        "host_s": small_s,
+        "batches_4x_tenants": large.batches,
+        "tenant_queues_4x_tenants": 3 * 1024,
+        "host_s_4x_tenants": large_s,
+        "tenant_scaling": tenant_scaling,
+        "jobs_per_s": small.jobs_done / small_s,
     }
 
     (bench_out_dir / BENCH_NAME).write_text(
         json.dumps(results, indent=1) + "\n")
 
-    # The acceptance floor: the rewritten event loop must beat the
-    # pre-PR loop by >= 5x in the same run (typically ~15x).  The hard
-    # floor is enforced by CI's dedicated perf-smoke step (which sets
-    # PERF_SMOKE=1 and gets a generous wall-clock budget); inside the
-    # plain functional suite — which may share a noisy runner — only a
-    # gross regression to baseline-like behavior fails.
-    floor = 5.0 if os.environ.get("PERF_SMOKE") else 2.0
-    assert serving_speedup >= floor, (
-        f"serving fast path regressed: {serving_speedup:.2f}x "
-        f"(fast {fast_serve_s:.3f}s vs baseline {base_serve_s:.3f}s)")
+    # The acceptance ceiling: four times the (class, tenant) queues must
+    # leave the DES's host time nearly flat (it reads ~1.0-1.1; the
+    # retired frontier-scanning loop, which rescanned every queue per
+    # dispatch, read 4.0-4.4 on this measurement).  The hard ceiling is enforced by CI's
+    # dedicated perf-smoke step (which sets PERF_SMOKE=1 and gets a
+    # generous wall-clock budget); inside the plain functional suite —
+    # which may share a noisy runner — only a gross regression to
+    # per-queue dispatch work fails.
+    ceiling = 1.5 if os.environ.get("PERF_SMOKE") else 2.5
+    assert tenant_scaling <= ceiling, (
+        f"serving dispatch grows with tenant queues: {tenant_scaling:.2f}x "
+        f"host time at 4x tenants ({small_s:.3f}s -> {large_s:.3f}s)")

@@ -105,16 +105,6 @@ class MultiFpgaSystem:
             raise ValueError("level must be >= 1")
         return math.ceil(2 * limbs * self.limb_transmit_cycles())
 
-    def broadcast_seconds(self) -> float:
-        """Master broadcasting one ciphertext to every other board.
-
-        The switch forwards to all peers, but the master's egress link
-        serializes the payload once per pair batch; we charge one
-        ciphertext transmission plus per-hop switch latency.
-        """
-        cycles = self.ciphertext_transmit_cycles()
-        return self.config.cycles_to_seconds(cycles)
-
     def communication_seconds_per_iteration(
             self, rounds: int = 2,
             level: Optional[float] = None) -> float:

@@ -73,7 +73,6 @@ from .serving import (ENGINES, ArrivalChunk, Job, JobClass, KeyCache,
                       build_job_classes, build_scenarios,
                       build_slo_scenario, default_interactive_slo_ms,
                       key_caches, percentile)
-from .serving_baseline import BaselineKeyCache, baseline_run
 from .specs import SpecError
 from .striped_lowering import (BOARD_POLICIES, BoardStriper, StripePlan,
                                StripedCost, StripedProgram,
@@ -85,8 +84,7 @@ from .striped_lowering import (BOARD_POLICIES, BoardStriper, StripePlan,
 __all__ = [
     "ARRIVAL_PROCESSES", "AVAILABILITY_FLOOR", "ArrivalChunk",
     "ArrivalProcess",
-    "BOARD_POLICIES", "BOARD_STATES", "BaselineKeyCache", "BoardStriper",
-    "baseline_run",
+    "BOARD_POLICIES", "BOARD_STATES", "BoardStriper",
     "CountingKeySwitcher", "DeferrableWindowPolicy", "DiurnalProcess",
     "EdfPolicy", "ENGINES", "ExponentialBackoffRetry",
     "FAULT_PROCESSES", "FaultProcess", "FaultSchedule",

@@ -219,9 +219,8 @@ def run_with_ledger(
     Every fault-only construct is gated on ``faults`` being set and
     every elasticity construct on ``autoscale``.  With neither, the
     loop serves the fixed pool: no board ever leaves the ledger's
-    ``active`` state and the report is golden-pinned (and, under
-    ``fifo``, bit-identical to the independent
-    :func:`repro.runtime.serving_baseline.baseline_run`).  Each single
+    ``active`` state and the report is golden-pinned (under ``fifo``,
+    to the original frontier-scanning loop's reports too).  Each single
     mechanism runs only its own constructs; the combination applies
     the module's arbitration rules.  Pass ``ledger=`` to inspect the
     membership state machine after the run (tests do); by default one

@@ -7,8 +7,7 @@ policy decision, pluggable through this module:
 
 * ``fifo`` — :class:`FifoPolicy`: oldest queue head first.  This is
   the pre-policy dispatch order, bit-identical to the original event
-  loop preserved in :mod:`repro.runtime.serving_baseline` (the
-  regression suite asserts it).
+  loop (the regression suite pins that loop's reports as goldens).
 * ``edf`` — :class:`EdfPolicy`: earliest effective deadline first,
   with admission control.  A batch is admitted only when its exact
   dispatch-time service preview meets every member's deadline from
@@ -501,8 +500,8 @@ class FifoPolicy(SchedulingPolicy):
 
     The head-heap entries are ``(arrival, queue-creation-order, key,
     job-id)`` — the same ordering the pre-policy event loop used —
-    so a run under this policy is bit-identical to
-    :func:`repro.runtime.serving_baseline.baseline_run`.
+    so a run under this policy reproduces that loop's reports bit for
+    bit (``tests/runtime/data/golden_fifo_baseline.json``).
     """
 
     name = "fifo"

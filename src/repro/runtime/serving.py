@@ -1180,9 +1180,8 @@ class ServingSimulator:
         run, which the regression suite asserts.
 
         Under the default ``fifo`` policy the DES schedule is
-        bit-identical to the independent frontier-scanning loop in
-        :func:`repro.runtime.serving_baseline.baseline_run`, which the
-        test suite asserts.
+        bit-identical to the original frontier-scanning loop, whose
+        reports the test suite pins as goldens.
         """
         for stream in scenario.streams:
             if stream.job_class.num_fpgas > self.num_devices:

@@ -13,12 +13,14 @@ Three grids, three golden files under ``tests/runtime/data/``:
   Every report field is pinned, so any drift in
   fault settlement, retry timing, drain arbitration or key residency
   on the membership path fails by name.
-* ``golden_fifo_baseline.json`` — fixed-pool ``fifo`` DES runs that
-  the pre-heap event loop (the ``serving_baseline`` module) served
-  bit-identically when the file was written: the canned scenarios,
-  an SLO-annotated mix, a tenant-heavy thrashing cache, a serial
-  single board and the striped suite's merged one-board run.  Each
-  point carries its own simulator arguments.
+* ``golden_fifo_baseline.json`` — fixed-pool ``fifo`` DES runs on
+  every input the original pre-heap event loop was once compared on:
+  the canned scenarios, an SLO-annotated mix, a tenant-heavy
+  thrashing cache, a serial single board and the striped suite's
+  merged one-board run.  The file was written while that loop still
+  existed, and each entry equalled its report field for field; the
+  loop is deleted and the goldens stand in for it.  Each point
+  carries its own simulator arguments.
 
 Regenerate (only when an intentional behavior change is being blessed):
 
@@ -143,7 +145,9 @@ def batch_plan() -> StripePlan:
 
 def shard_class() -> JobClass:
     """One board's shard of :func:`batch_trace`, lowered single-board."""
-    shard = stripe_trace(batch_trace(), STRIPE, plan=batch_plan()).shards[0]
+    striped = stripe_trace(batch_trace(), STRIPE, plan=batch_plan())
+    shard = striped.shards[0]
+    assert all(len(s) == len(shard) for s in striped.shards)
     return JobClass.from_trace(shard)
 
 
@@ -153,7 +157,7 @@ def batch_scenario(job_class: JobClass, name: str) -> Scenario:
                tenant_prefix="t")])
 
 
-def fifo_baseline_runs() -> Iterator[Tuple[str, Dict]]:
+def fifo_runs() -> Iterator[Tuple[str, Dict]]:
     """Yield ``(key, run_kwargs)`` pairs for every input the fifo
     oracle tests pin; ``run_kwargs["simulator"]`` holds the
     ``ServingSimulator`` arguments."""
@@ -206,18 +210,6 @@ def report_dict(run_kwargs: Dict) -> Dict:
     return normalize(sim.run(scenario, seed=seed, **kwargs))
 
 
-def drift(want: Dict, got: Dict) -> Dict:
-    """Fields whose values differ between a golden entry and a run,
-    as ``{field: (want, got)}``; NaN equals NaN and a field missing
-    from the run counts as a difference."""
-    def canonical(value) -> str:
-        # float repr round-trips exactly, and NaN == NaN as text.
-        return json.dumps(value, sort_keys=True)
-    return {field: (want[field], got.get(field)) for field in want
-            if field not in got
-            or canonical(got[field]) != canonical(want[field])}
-
-
 def load_golden(path: str) -> Dict[str, Dict]:
     with open(path) as fh:
         return json.load(fh)
@@ -225,9 +217,18 @@ def load_golden(path: str) -> Dict[str, Dict]:
 
 def assert_matches_golden(golden: Dict[str, Dict], key: str,
                           got: Dict) -> None:
-    """Fail by field name unless ``got`` reproduces ``golden[key]``."""
+    """Fail by field name unless ``got`` reproduces every field of
+    ``golden[key]``.  NaN equals NaN; a field missing from ``got``
+    differs."""
     assert key in golden, f"no golden entry for {key}; regenerate the grid"
-    mismatched = drift(golden[key], got)
+
+    def canonical(value) -> str:
+        # float repr round-trips exactly, and NaN == NaN as text.
+        return json.dumps(value, sort_keys=True)
+    want = golden[key]
+    mismatched = {field: (want[field], got.get(field)) for field in want
+                  if field not in got
+                  or canonical(got[field]) != canonical(want[field])}
     assert not mismatched, (
         f"{key}: report drifted from the golden on {sorted(mismatched)}: "
         f"{mismatched}")
@@ -237,7 +238,7 @@ def assert_matches_golden(golden: Dict[str, Dict], key: str,
 GRIDS = {
     "fault_free": (DATA_PATH, golden_runs),
     "membership": (MEMBERSHIP_PATH, membership_runs),
-    "fifo_baseline": (FIFO_BASELINE_PATH, fifo_baseline_runs),
+    "fifo_baseline": (FIFO_BASELINE_PATH, fifo_runs),
 }
 
 

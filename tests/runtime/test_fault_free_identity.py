@@ -12,40 +12,23 @@ Regenerate (only after an intentional semantic change)::
     PYTHONPATH=src python tests/runtime/_golden_grid.py
 """
 
-import json
 import pathlib
 import sys
 
 import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
-from _golden_grid import DATA_PATH, golden_runs, report_dict  # noqa: E402
+from _golden_grid import (DATA_PATH, assert_matches_golden,  # noqa: E402
+                          golden_runs, load_golden, report_dict)
 
-
-def _golden():
-    with open(DATA_PATH) as fh:
-        return json.load(fh)
-
-
-GOLDEN = _golden()
+GOLDEN = load_golden(DATA_PATH)
 POINTS = list(golden_runs())
 
 
 @pytest.mark.parametrize(
     "key,kwargs", POINTS, ids=[key for key, _ in POINTS])
 def test_report_matches_golden(key, kwargs):
-    assert key in GOLDEN, (
-        f"no golden entry for {key}; regenerate the grid")
-    got = report_dict(kwargs)
-    want = GOLDEN[key]
-    mismatched = {
-        field: (want[field], got.get(field))
-        for field in want
-        if got.get(field) != want[field]
-    }
-    assert not mismatched, (
-        f"{key}: fault-free report drifted from the pre-fault golden "
-        f"on {sorted(mismatched)}: {mismatched}")
+    assert_matches_golden(GOLDEN, key, report_dict(kwargs))
 
 
 def test_grid_covers_both_engines_and_all_points():

@@ -13,45 +13,29 @@ Regenerate (only after an intentional semantic change)::
     PYTHONPATH=src python tests/runtime/_golden_grid.py membership
 """
 
-import json
 import pathlib
 import sys
 
 import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
-from _golden_grid import MEMBERSHIP_PATH, membership_runs, report_dict  # noqa: E402
+from _golden_grid import (  # noqa: E402
+    MEMBERSHIP_PATH,
+    assert_matches_golden,
+    load_golden,
+    membership_runs,
+    report_dict,
+)
 
-
-def _golden():
-    with open(MEMBERSHIP_PATH) as fh:
-        return json.load(fh)
-
-
-def _canonical(value) -> str:
-    # float repr round-trips exactly, and NaN == NaN as text.
-    return json.dumps(value, sort_keys=True)
-
-
-GOLDEN = _golden()
+GOLDEN = load_golden(MEMBERSHIP_PATH)
 POINTS = list(membership_runs())
 
 
 @pytest.mark.parametrize("key,kwargs", POINTS, ids=[key for key, _ in POINTS])
 def test_report_matches_golden(key, kwargs):
-    assert key in GOLDEN, f"no golden entry for {key}; regenerate the grid"
     got = report_dict(kwargs)
-    want = GOLDEN[key]
-    assert sorted(got) == sorted(want), f"{key}: report fields changed"
-    mismatched = {
-        field: (want[field], got[field])
-        for field in want
-        if _canonical(got[field]) != _canonical(want[field])
-    }
-    assert not mismatched, (
-        f"{key}: membership report drifted from the golden on "
-        f"{sorted(mismatched)}: {mismatched}"
-    )
+    assert_matches_golden(GOLDEN, key, got)
+    assert sorted(got) == sorted(GOLDEN[key]), f"{key}: report fields changed"
 
 
 def test_grid_exercises_every_mechanism():

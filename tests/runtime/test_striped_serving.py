@@ -3,8 +3,9 @@
 The load-bearing regression: a job striped across k boards with the
 communication cost zeroed is *the same computation* as its one-board
 shard — so a pool of k boards serving striped jobs must produce the
-same report as one board serving shard jobs, asserted against the
-pre-striping event loop preserved in ``runtime/serving_baseline.py``.
+same report as one board serving shard jobs, and that one-board run
+must match its golden, the report of the original pre-striping event
+loop (``merged/seed11`` in ``data/golden_fifo_baseline.json``).
 The one deliberate difference is key traffic: switching keys replicate
 into every gang board's HBM, so the striped pool loads exactly k times
 the bytes.
@@ -16,14 +17,13 @@ import sys
 import pytest
 
 from repro.core import FabConfig
-from repro.runtime import (JobClass, Scenario, ServingSimulator, Stream,
-                           baseline_run, stripe_trace)
+from repro.runtime import JobClass, Scenario, ServingSimulator, Stream
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 from _golden_grid import (FIFO_BASELINE_PATH, STRIPE,  # noqa: E402
                           assert_matches_golden, batch_plan,
-                          batch_scenario, batch_trace, fifo_baseline_runs,
-                          load_golden, normalize, report_dict)
+                          batch_scenario, batch_trace, load_golden,
+                          normalize, shard_class as one_board_shard)
 
 CONFIG = FabConfig()
 GOLDEN = load_golden(FIFO_BASELINE_PATH)
@@ -39,11 +39,7 @@ def striped_class() -> JobClass:
 @pytest.fixture(scope="module")
 def shard_class() -> JobClass:
     """One board's shard of the same batch, lowered single-board."""
-    striped = stripe_trace(batch_trace(), STRIPE, plan=batch_plan(),
-                           config=CONFIG)
-    shard = striped.shards[0]
-    assert all(len(s) == len(shard) for s in striped.shards)
-    return JobClass.from_trace(shard, CONFIG)
+    return one_board_shard()
 
 
 class TestStripedEqualsMergedSingleBoard:
@@ -55,13 +51,10 @@ class TestStripedEqualsMergedSingleBoard:
         striped = striped_sim.run(batch_scenario(striped_class, "striped"),
                                   seed=11)
         single_sim = ServingSimulator(CONFIG, num_devices=1)
-        scenario = batch_scenario(shard_class, "merged")
-        merged = single_sim.run(scenario, seed=11)
-        baseline = baseline_run(single_sim, scenario, seed=11)
-        assert_matches_golden(GOLDEN, MERGED, normalize(baseline))
-        assert_matches_golden(GOLDEN, MERGED,
-                              report_dict(dict(fifo_baseline_runs())[MERGED]))
-        return striped, merged, baseline
+        merged = single_sim.run(batch_scenario(shard_class, "merged"),
+                                seed=11)
+        assert_matches_golden(GOLDEN, MERGED, normalize(merged))
+        return striped, merged
 
     def test_same_cycles_per_job(self, striped_class, shard_class):
         """Zero comm + even shards: the gang finishes exactly when one
@@ -72,32 +65,26 @@ class TestStripedEqualsMergedSingleBoard:
 
     def test_report_matches_baseline_single_board(self, striped_class,
                                                   shard_class):
-        striped, merged, baseline = self._reports(striped_class,
-                                                  shard_class)
-        for other in (merged, baseline):
-            assert striped.makespan_s == other.makespan_s
-            assert striped.jobs_done == other.jobs_done
-            assert striped.batches == other.batches
-            assert striped.mean_batch_size == other.mean_batch_size
-            assert striped.device_utilization == \
-                other.device_utilization
-            assert striped.key_hit_rate == other.key_hit_rate
-            got = striped.per_workload[0]
-            want = other.per_workload[0]
-            assert (got.jobs, got.p50_ms, got.p95_ms, got.p99_ms,
-                    got.mean_ms) == (want.jobs, want.p50_ms,
-                                     want.p95_ms, want.p99_ms,
-                                     want.mean_ms)
+        striped, merged = self._reports(striped_class, shard_class)
+        assert striped.makespan_s == merged.makespan_s
+        assert striped.jobs_done == merged.jobs_done
+        assert striped.batches == merged.batches
+        assert striped.mean_batch_size == merged.mean_batch_size
+        assert striped.device_utilization == merged.device_utilization
+        assert striped.key_hit_rate == merged.key_hit_rate
+        got = striped.per_workload[0]
+        want = merged.per_workload[0]
+        assert (got.jobs, got.p50_ms, got.p95_ms, got.p99_ms,
+                got.mean_ms) == (want.jobs, want.p50_ms, want.p95_ms,
+                                 want.p99_ms, want.mean_ms)
 
     def test_key_bytes_replicate_exactly_k_times(self, striped_class,
                                                  shard_class):
         """The ONE intended difference: every gang board loads its own
         replica of the switching keys."""
-        striped, merged, baseline = self._reports(striped_class,
-                                                  shard_class)
+        striped, merged = self._reports(striped_class, shard_class)
         assert striped.key_bytes_loaded == \
             STRIPE * merged.key_bytes_loaded
-        assert merged.key_bytes_loaded == baseline.key_bytes_loaded
 
 
 class TestStripedDispatch:
@@ -105,11 +92,6 @@ class TestStripedDispatch:
         sim = ServingSimulator(CONFIG, num_devices=STRIPE - 2)
         with pytest.raises(ValueError, match="stripes over"):
             sim.run(batch_scenario(striped_class, "toowide"), seed=0)
-
-    def test_baseline_rejects_striped_classes(self, striped_class):
-        sim = ServingSimulator(CONFIG, num_devices=STRIPE)
-        with pytest.raises(ValueError, match="predates striping"):
-            baseline_run(sim, batch_scenario(striped_class, "nope"), seed=0)
 
     def test_invalid_num_fpgas(self):
         with pytest.raises(ValueError):
