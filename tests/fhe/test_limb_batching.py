@@ -27,6 +27,7 @@ from repro.fhe import (
     Ciphertext,
     CkksContext,
     CkksParams,
+    CkksEncoder,
     CkksScheme,
     Evaluator,
     KeyGenerator,
@@ -373,19 +374,29 @@ class TestStackedTransforms:
 # Row conservation
 # ----------------------------------------------------------------------
 
-# NTT calls and limb rows of one bootstrap at the tier-1 parameters.
-FORWARD_CALLS, FORWARD_ROWS = 361, 8621
+# NTT calls and limb rows of one bootstrap at the tier-1 parameters, on
+# the ciphertext path: every NTT outside ``CkksEncoder.encode``.
+FORWARD_CALLS, FORWARD_ROWS = 189, 6305
 INVERSE_CALLS, INVERSE_ROWS = 187, 1689
 # When every NTT-form automorphism ran an inverse and a forward NTT over
 # its limbs, and ModUp, ModDown and rescale made one call per digit or
-# per polynomial, the same bootstrap made 654 forward calls over 9,557
-# rows and 480 inverse calls over 2,625 rows.
-UNBATCHED_FORWARD_ROWS, UNBATCHED_INVERSE_ROWS = 9557, 2625
+# per polynomial, the same ciphertext path transformed 7,241 forward
+# rows and 2,625 inverse rows.
+UNBATCHED_FORWARD_ROWS, UNBATCHED_INVERSE_ROWS = 7241, 2625
+# Forward NTT calls and rows inside ``encode`` (which runs no inverse).
+# The first bootstrap encodes the 64 BSGS-rotated diagonals of its two
+# linear transforms; constants are encoded without a transform, and a
+# second bootstrap by the same ``Bootstrapper`` reuses every diagonal.
+# When every plaintext, constants included, went through ``encode`` on
+# every bootstrap, each bootstrap made 172 calls over 2,316 rows here.
+FIRST_ENCODE_FORWARD = [64, 896]
+WARM_ENCODE_FORWARD = [0, 0]
 
 
 def test_one_bootstrap_transforms_every_row_once(monkeypatch, rng):
-    """Batching merges calls but skips no rows: the only rows that left
-    the count are the NTT-form automorphisms', now permutations."""
+    """Batching merges calls but skips no rows: the only ciphertext rows
+    that left the count are the NTT-form automorphisms', now
+    permutations.  Plaintexts are encoded once per ``Bootstrapper``."""
     scheme = CkksScheme(
         CkksParams(
             ring_degree=64,
@@ -402,17 +413,28 @@ def test_one_bootstrap_transforms_every_row_once(monkeypatch, rng):
     z = rng.uniform(-0.5, 0.5, 32)
     ct = scheme.evaluator.mod_down_to(scheme.encrypt(z), 1)
 
-    counts = {"forward": [0, 0], "inverse": [0, 0], "automorphism": 0}
+    counts = {}
+    encoding = []  # one entry per ``encode`` frame on the stack
 
     def counted(name):
         transform = getattr(NttContext, name)
 
         def wrapper(self, x):
-            counts[name][0] += 1
-            counts[name][1] += np.size(x) // self.ring_degree
+            tally = counts["encode" if encoding else name]
+            tally[0] += 1
+            tally[1] += np.size(x) // self.ring_degree
             return transform(self, x)
 
         return wrapper
+
+    encode = CkksEncoder.encode
+
+    def counted_encode(self, *args, **kwargs):
+        encoding.append(True)
+        try:
+            return encode(self, *args, **kwargs)
+        finally:
+            encoding.pop()
 
     automorphism = RnsPolynomial.automorphism
 
@@ -423,12 +445,23 @@ def test_one_bootstrap_transforms_every_row_once(monkeypatch, rng):
 
     monkeypatch.setattr(NttContext, "forward", counted("forward"))
     monkeypatch.setattr(NttContext, "inverse", counted("inverse"))
+    monkeypatch.setattr(CkksEncoder, "encode", counted_encode)
     monkeypatch.setattr(RnsPolynomial, "automorphism", counted_automorphism)
-    out = boot.bootstrap(ct)
+    runs = []
+    for _ in range(2):
+        counts.update(forward=[0, 0], inverse=[0, 0], encode=[0, 0], automorphism=0)
+        out = boot.bootstrap(ct)
+        runs.append((out, dict(counts)))
     monkeypatch.undo()
 
-    assert counts["forward"] == [FORWARD_CALLS, FORWARD_ROWS]
-    assert counts["inverse"] == [INVERSE_CALLS, INVERSE_ROWS]
-    assert FORWARD_ROWS + counts["automorphism"] == UNBATCHED_FORWARD_ROWS
-    assert INVERSE_ROWS + counts["automorphism"] == UNBATCHED_INVERSE_ROWS
-    assert np.max(np.abs(scheme.decrypt(out) - z)) < 0.05
+    for out, tally in runs:
+        assert tally["forward"] == [FORWARD_CALLS, FORWARD_ROWS]
+        assert tally["inverse"] == [INVERSE_CALLS, INVERSE_ROWS]
+        assert FORWARD_ROWS + tally["automorphism"] == UNBATCHED_FORWARD_ROWS
+        assert INVERSE_ROWS + tally["automorphism"] == UNBATCHED_INVERSE_ROWS
+    assert runs[0][1]["encode"] == FIRST_ENCODE_FORWARD
+    assert runs[1][1]["encode"] == WARM_ENCODE_FORWARD
+    (first, _), (second, _) = runs
+    assert first.c0 == second.c0 and first.c1 == second.c1
+    assert np.array_equal(scheme.decrypt(first), scheme.decrypt(second))
+    assert np.max(np.abs(scheme.decrypt(first) - z)) < 0.05

@@ -1,5 +1,7 @@
 """Tests for the device-independent operation counting."""
 
+import dataclasses
+
 import pytest
 
 from repro.perf import OpCounter, PrimitiveCounts
@@ -59,6 +61,21 @@ class TestBasicCounts:
     def test_counts_scale_with_level(self, counter):
         assert (counter.multiply(8).mult_equivalents
                 < counter.multiply(24).mult_equivalents)
+
+    def test_keyswitch_memo_per_counter(self):
+        counter = OpCounter(ring_degree=1 << 16, num_limbs=24, dnum=3)
+        hoisted = counter.keyswitch(10, hoisted=True)
+        assert counter.keyswitch(10, hoisted=True) is hoisted
+        assert counter.keyswitch(10) != hoisted
+        assert counter.keyswitch() is counter.keyswitch(24)
+        fresh = OpCounter(ring_degree=1 << 16, num_limbs=24, dnum=3)
+        assert fresh.keyswitch(10, hoisted=True) == hoisted
+        other = OpCounter(ring_degree=1 << 16, num_limbs=24, dnum=4)
+        assert other.keyswitch(10) != counter.keyswitch(10)
+
+    def test_shared_counts_are_frozen(self, counter):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            counter.keyswitch(3).modmults = 0
 
 
 class TestBootstrapProfile:

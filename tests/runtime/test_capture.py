@@ -6,6 +6,7 @@ import pytest
 from repro.apps.lr.data import Dataset
 from repro.apps.lr.encrypted import EncryptedLrTrainer
 from repro.fhe import CkksParams, CkksScheme
+from repro.fhe.align import ScaleAligner
 from repro.runtime import (OpTrace, TracingEvaluator, capture,
                            cost_trace, lower_trace)
 
@@ -114,6 +115,14 @@ class TestRecording:
             small_scheme.decrypt(ct)
         assert trace.meta["encodes"] == 1
         assert trace.meta["decodes"] == 1
+
+    def test_constant_encodes_counted(self, small_scheme, rng):
+        with capture(small_scheme) as trace:
+            ct = small_scheme.encrypt(rng.normal(size=4), num_slots=4)
+            ScaleAligner(small_scheme.evaluator,
+                         small_scheme.encoder).add_const(ct, 0.5)
+        # The constant skips the FFT, not the count.
+        assert trace.meta["encodes"] == 2
 
     def test_mod_down_recorded_and_lowered_away(self, small_scheme, rng):
         with capture(small_scheme) as trace:
