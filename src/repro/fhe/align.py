@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from typing import Optional, Tuple
 
-import numpy as np
-
 from .ciphertext import Ciphertext
 from .encoder import CkksEncoder
 from .evaluator import Evaluator
@@ -52,9 +50,8 @@ class ScaleAligner:
         ct = ev.mod_down_to(ct, limbs + 1)
         q_drop = ct.c0.basis.primes[-1]
         plain_scale = scale * q_drop / ct.scale
-        one = self.encoder.encode(
-            np.full(ct.num_slots, 1.0, dtype=np.complex128),
-            scale=plain_scale, basis=ct.c0.basis, num_slots=ct.num_slots)
+        one = self.encoder.encode_constant(1.0, plain_scale, ct.c0.basis,
+                                           ct.num_slots)
         ct = ev.rescale(ev.multiply_plain(ct, one))
         ct.scale = scale  # snap float rounding
         return ct
@@ -86,14 +83,13 @@ class ScaleAligner:
         a, b = self.align_pair(a, b)
         return self.evaluator.sub(a, b)
 
-    def add_const(self, ct: Ciphertext, value: complex) -> Ciphertext:
+    def add_const(self, ct: Ciphertext, value: float) -> Ciphertext:
         """Add a scalar constant (free: encoded at the current scale)."""
-        pt = self.encoder.encode(
-            np.full(ct.num_slots, value, dtype=np.complex128),
-            scale=ct.scale, basis=ct.c0.basis, num_slots=ct.num_slots)
+        pt = self.encoder.encode_constant(value, ct.scale, ct.c0.basis,
+                                          ct.num_slots)
         return self.evaluator.add_plain(ct, pt)
 
-    def mul_const(self, ct: Ciphertext, value: complex,
+    def mul_const(self, ct: Ciphertext, value: float,
                   target_scale: Optional[float] = None) -> Ciphertext:
         """Multiply by a scalar constant; consumes one level.
 
@@ -105,9 +101,8 @@ class ScaleAligner:
             plain_scale = float(q_drop)
         else:
             plain_scale = target_scale * q_drop / ct.scale
-        pt = self.encoder.encode(
-            np.full(ct.num_slots, value, dtype=np.complex128),
-            scale=plain_scale, basis=ct.c0.basis, num_slots=ct.num_slots)
+        pt = self.encoder.encode_constant(value, plain_scale, ct.c0.basis,
+                                          ct.num_slots)
         out = self.evaluator.rescale(self.evaluator.multiply_plain(ct, pt))
         if target_scale is not None:
             out.scale = target_scale

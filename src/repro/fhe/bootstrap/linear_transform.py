@@ -19,13 +19,14 @@ are mirrored analytically by :mod:`repro.perf.opcounts`.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Set
+from typing import Dict, Optional, Set, Tuple
 
 import numpy as np
 
 from ..ciphertext import Ciphertext
-from ..encoder import CkksEncoder
+from ..encoder import CkksEncoder, Plaintext
 from ..evaluator import Evaluator
+from ..rns import RnsBasis
 
 
 def matrix_diagonals(matrix: np.ndarray) -> Dict[int, np.ndarray]:
@@ -64,10 +65,12 @@ def bsgs_split(num_diagonals: int, n: int) -> int:
 class LinearTransform:
     """A precomputed homomorphic matrix-vector product.
 
-    The diagonals are rotated for the BSGS grouping and encoded lazily
-    at the ciphertext's level with scale equal to the prime that will be
-    dropped by the trailing rescale, so the output scale equals the
-    input scale exactly.
+    The diagonals are rotated for the BSGS grouping and encoded at the
+    ciphertext's basis with scale equal to the primes that the trailing
+    rescales will drop, so the output scale equals the input scale
+    exactly.  Each basis is encoded on the first :meth:`apply` that
+    meets it and cached on the transform, keyed by the basis primes and
+    that scale, so later bootstraps encode nothing.
     """
 
     def __init__(self, matrix: np.ndarray, num_slots: int,
@@ -91,6 +94,8 @@ class LinearTransform:
         #: precision when the matrix entries are very small, as in
         #: CoeffToSlot where the 1/(q0 K) factor is folded in).
         self.plain_levels = plain_levels
+        self._encoded: Dict[Tuple[Tuple[int, ...], float],
+                            Dict[int, Plaintext]] = {}
 
     # ------------------------------------------------------------------
 
@@ -108,6 +113,24 @@ class LinearTransform:
                 rotations.add(i * n1)
         rotations.discard(0)
         return rotations
+
+    def _plaintexts(self, basis: RnsBasis,
+                    plain_scale: float) -> Dict[int, Plaintext]:
+        """Diagonal index -> its BSGS-rotated diagonal, encoded at
+        ``basis`` and ``plain_scale`` (on the first call only)."""
+        key = (basis.primes, plain_scale)
+        encoded = self._encoded.get(key)
+        if encoded is None:
+            n1 = self.baby_steps
+            # Diagonal d = i*n1 + j is multiplied by rot_{-i*n1}: with
+            # rot_k = left-rotation by k, a right roll by i*n1.
+            encoded = {
+                d: self.encoder.encode(np.roll(diag, d - d % n1),
+                                       scale=plain_scale, basis=basis,
+                                       num_slots=self.num_slots)
+                for d, diag in self.diagonals.items()}
+            self._encoded[key] = encoded
+        return encoded
 
     def apply(self, ct: Ciphertext, evaluator: Evaluator) -> Ciphertext:
         """Evaluate ``M @ slots(ct)`` homomorphically.
@@ -133,21 +156,15 @@ class LinearTransform:
                              for i in range(self.giant_count))]
         babies: Dict[int, Ciphertext] = {0: ct}
         babies.update(evaluator.rotate_hoisted(ct, baby_steps))
+        plaintexts = self._plaintexts(basis, plain_scale)
         total: Optional[Ciphertext] = None
         for i in range(self.giant_count):
             inner: Optional[Ciphertext] = None
             shift = i * n1
             for j in range(n1):
-                d = (shift + j) % n
-                diag = self.diagonals.get(d)
-                if diag is None or j not in babies:
+                pt = plaintexts.get((shift + j) % n)
+                if pt is None or j not in babies:
                     continue
-                # rot_{-shift}(diag): with rot_k = left-rotation by k,
-                # this is a right roll by `shift`.
-                rotated_diag = np.roll(diag, shift)
-                pt = self.encoder.encode(
-                    rotated_diag, scale=plain_scale, basis=basis,
-                    num_slots=n)
                 term = evaluator.multiply_plain(babies[j], pt)
                 inner = term if inner is None else evaluator.add(inner, term)
             if inner is None:

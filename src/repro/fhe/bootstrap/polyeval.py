@@ -225,23 +225,18 @@ class ChebyshevEvaluator:
             if abs(c) < COEFF_TOLERANCE and j != 1:
                 continue
             t_j = powers[j]
-            pt = self.encoder.encode(
-                np.full(t_j.num_slots, c, dtype=np.complex128),
-                scale=float(q_drop), basis=t_j.c0.basis,
-                num_slots=t_j.num_slots)
+            pt = self.encoder.encode_constant(c, float(q_drop), t_j.c0.basis,
+                                              t_j.num_slots)
             term = self.evaluator.multiply_plain(t_j, pt)
             total = term if total is None else self.evaluator.add(total, term)
         if total is None:
             total = self.evaluator.multiply_scalar_int(
                 self.evaluator.multiply_plain(
-                    ref, self.encoder.encode(
-                        [1.0], scale=float(q_drop), basis=basis,
-                        num_slots=ref.num_slots)), 0)
+                    ref, self.encoder.encode_constant(
+                        1.0, float(q_drop), basis, ref.num_slots)), 0)
         if len(coeffs) > 0 and abs(coeffs[0]) > COEFF_TOLERANCE:
-            pt0 = self.encoder.encode(
-                np.full(total.num_slots, float(coeffs[0]),
-                        dtype=np.complex128),
-                scale=total.scale, basis=total.c0.basis,
-                num_slots=total.num_slots)
+            pt0 = self.encoder.encode_constant(
+                float(coeffs[0]), total.scale, total.c0.basis,
+                total.num_slots)
             total = self.evaluator.add_plain(total, pt0)
         return self.evaluator.rescale(total)

@@ -67,6 +67,22 @@ def _group_indices(ring_degree: int) -> np.ndarray:
     return idx
 
 
+def _check_slots(num_slots: int, n_half: int) -> None:
+    ilog2(num_slots)
+    if num_slots > n_half:
+        raise ValueError("num_slots must be <= N/2")
+
+
+def _check_overflow(peak: float, basis: RnsBasis) -> None:
+    """Reject encoded coefficients reaching half the basis modulus."""
+    limit = float(basis.modulus) / 2.0
+    if peak >= limit:
+        raise ValueError(
+            f"encoded coefficients (|c| ~ 2^{np.log2(max(peak, 1)):.1f}) "
+            f"overflow the modulus (2^{np.log2(limit):.1f}); "
+            "lower the scale or add limbs")
+
+
 class CkksEncoder:
     """Encode/decode complex vectors to/from RNS plaintext polynomials."""
 
@@ -127,9 +143,7 @@ class CkksEncoder:
         n_half = self.ring_degree // 2
         if num_slots is None:
             num_slots = self.context.params.slots
-        ilog2(num_slots)
-        if num_slots > n_half:
-            raise ValueError("num_slots must be <= N/2")
+        _check_slots(num_slots, n_half)
         values = np.asarray(list(values), dtype=np.complex128)
         if values.size > num_slots:
             raise ValueError(f"too many values for {num_slots} slots")
@@ -142,16 +156,28 @@ class CkksEncoder:
         if basis is None:
             basis = self.context.q_basis
         real_coeffs = self.embed(replicated) * scale
-        limit = float(basis.modulus) / 2.0
-        peak = np.max(np.abs(real_coeffs)) if real_coeffs.size else 0.0
-        if peak >= limit:
-            raise ValueError(
-                f"encoded coefficients (|c| ~ 2^{np.log2(max(peak, 1)):.1f}) "
-                f"overflow the modulus (2^{np.log2(limit):.1f}); "
-                "lower the scale or add limbs")
+        _check_overflow(np.max(np.abs(real_coeffs)), basis)
         rounded = [int(round(c)) for c in real_coeffs]
         poly = RnsPolynomial.from_int_coeffs(rounded, self.ring_degree, basis)
         return Plaintext(poly.to_ntt(), float(scale), num_slots)
+
+    def encode_constant(self, value: float, scale: float, basis: RnsBasis,
+                        num_slots: int) -> Plaintext:
+        """Encode the real constant ``value`` into every slot.
+
+        Equal limb for limb to ``encode(np.full(num_slots, value), ...)``
+        at the same arguments, without its FFT and NTT: a constant slot
+        vector is the constant polynomial ``round(value * scale)``, and
+        in NTT form every limb row is that integer mod ``q_i``.
+        """
+        _check_slots(num_slots, self.ring_degree // 2)
+        coeff = value * scale
+        _check_overflow(abs(coeff), basis)
+        residues = np.array([int(round(coeff)) % q for q in basis.primes],
+                            dtype=np.int64)
+        limbs = np.repeat(residues[:, None], self.ring_degree, axis=1)
+        poly = RnsPolynomial(self.ring_degree, basis, limbs, is_ntt=True)
+        return Plaintext(poly, float(scale), num_slots)
 
     def decode(self, plaintext: Plaintext,
                num_slots: Optional[int] = None) -> np.ndarray:

@@ -62,20 +62,26 @@ class CountingKeySwitcher(KeySwitcher):
 
 
 class TracingEncoder:
-    """Delegating CkksEncoder wrapper counting encode/decode calls."""
+    """Delegating CkksEncoder wrapper counting encode/decode calls
+    (a constant encode counts as an encode)."""
 
     def __init__(self, encoder: CkksEncoder, trace: OpTrace):
         self._encoder = encoder
         self.trace = trace
 
+    def _bump(self, key: str) -> None:
+        self.trace.meta[key] = int(self.trace.meta.get(key, 0)) + 1
+
     def encode(self, *args, **kwargs) -> Plaintext:
-        self.trace.meta["encodes"] = \
-            int(self.trace.meta.get("encodes", 0)) + 1
+        self._bump("encodes")
         return self._encoder.encode(*args, **kwargs)
 
+    def encode_constant(self, *args, **kwargs) -> Plaintext:
+        self._bump("encodes")
+        return self._encoder.encode_constant(*args, **kwargs)
+
     def decode(self, *args, **kwargs):
-        self.trace.meta["decodes"] = \
-            int(self.trace.meta.get("decodes", 0)) + 1
+        self._bump("decodes")
         return self._encoder.decode(*args, **kwargs)
 
     def __getattr__(self, name):
