@@ -3,21 +3,25 @@
 Device-independent counting of modular multiplies, adds, NTT
 butterflies and memory traffic for every CKKS operation, the full
 bootstrapping pipeline, and one HELR logistic-regression iteration.
-The counts feed both the FAB cycle model (:mod:`repro.core.ops`) and the
-analytic baseline devices (:mod:`repro.perf.devices`), so every system
-in Tables 5–8 is evaluated on identical workloads.
+The counts feed the analytic baseline devices
+(:class:`repro.perf.devices.AnalyticDevice`), on which the Table 7 and
+8 drivers and ``examples/lr_training.py`` price them, so every baseline
+is evaluated on identical workloads.  The FAB model does not read them: it counts
+its own datapath in :mod:`repro.core` (e.g.
+:mod:`repro.core.keyswitch_datapath`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 
-@dataclass
+@dataclass(frozen=True)
 class PrimitiveCounts:
-    """Scalar-operation and traffic totals for one workload."""
+    """Scalar-operation and traffic totals for one workload (frozen:
+    :meth:`OpCounter.keyswitch` hands out shared memoized values)."""
 
     modmults: int = 0
     modadds: int = 0
@@ -81,6 +85,7 @@ class OpCounter:
                                     else self.alpha)
         self.eval_mod_depth = eval_mod_depth
         self.log_degree = ring_degree.bit_length() - 1
+        self._keyswitch_memo: Dict[Tuple[int, bool], PrimitiveCounts] = {}
 
     # ------------------------------------------------------------------
     # Helpers
@@ -113,8 +118,12 @@ class OpCounter:
 
     def keyswitch(self, level: Optional[int] = None,
                   hoisted: bool = False) -> PrimitiveCounts:
-        """Hybrid key switch with the smart-scheduling optimization."""
+        """Hybrid key switch with the smart-scheduling optimization
+        (memoized per counter: it depends only on its arguments)."""
         lvl = self._level(level)
+        memo = self._keyswitch_memo.get((lvl, hoisted))
+        if memo is not None:
+            return memo
         n = self.ring_degree
         k = self.num_extension_limbs
         raised = lvl + k
@@ -141,6 +150,7 @@ class OpCounter:
                 modmults=k * n + lvl * k * n + lvl * n,
                 modadds=lvl * k * n + lvl * n)
             counts += self.ntt(lvl)
+        self._keyswitch_memo[(lvl, hoisted)] = counts
         return counts
 
     def multiply(self, level: Optional[int] = None) -> PrimitiveCounts:
