@@ -6,7 +6,8 @@ Three grids, three golden files under ``tests/runtime/data/``:
   generated against the PR 7 tree (before the fault-injection work
   landed).  The regression tests replay the grid on the current tree
   and assert every report field that existed then is reproduced
-  float-for-float.
+  float-for-float.  Regenerating it writes only those fields
+  (``FAULT_FREE_FIELDS``), so the fault fields stay out of it.
 * ``golden_membership.json`` — DES runs whose pool membership moves:
   faults only, autoscaling only, and both, each under ``fifo`` and
   ``edf`` at two seeds, plus the EDF-under-faults liveness input.
@@ -49,6 +50,15 @@ FIFO_BASELINE_PATH = os.path.join(DATA_DIR, "golden_fifo_baseline.json")
 
 NUM_DEVICES = 4
 DURATION_S = 0.5
+
+
+#: The report fields ``golden_fault_free.json`` pins: every field the
+#: report had before the fault, autoscaling and board-second fields.
+FAULT_FREE_FIELDS = (
+    "batches", "cost_price_units", "deferred_jobs", "device_utilization",
+    "jobs_done", "key_bytes_loaded", "key_hit_rate", "makespan_s",
+    "mean_batch_size", "per_device_jobs", "per_tenant_slo", "per_workload",
+    "policy", "rejected_jobs", "scenario", "slo_attainment")
 
 
 def golden_runs() -> Iterator[Tuple[str, Dict]]:
@@ -234,22 +244,28 @@ def assert_matches_golden(golden: Dict[str, Dict], key: str,
         f"{mismatched}")
 
 
-#: Script argument -> (golden file, grid).
+#: Script argument -> (golden file, grid, pinned fields or None for all).
 GRIDS = {
-    "fault_free": (DATA_PATH, golden_runs),
-    "membership": (MEMBERSHIP_PATH, membership_runs),
-    "fifo_baseline": (FIFO_BASELINE_PATH, fifo_runs),
+    "fault_free": (DATA_PATH, golden_runs, FAULT_FREE_FIELDS),
+    "membership": (MEMBERSHIP_PATH, membership_runs, None),
+    "fifo_baseline": (FIFO_BASELINE_PATH, fifo_runs, None),
 }
 
 
-def compute_golden(runs=golden_runs) -> Dict[str, Dict]:
-    return {key: report_dict(kwargs) for key, kwargs in runs()}
+def compute_golden(runs=golden_runs, fields=None) -> Dict[str, Dict]:
+    golden = {key: report_dict(kwargs) for key, kwargs in runs()}
+    if fields is None:
+        return golden
+    return {key: {field: report[field] for field in fields}
+            for key, report in golden.items()}
 
 
 if __name__ == "__main__":
-    path, runs = GRIDS[sys.argv[1] if len(sys.argv) > 1 else "fault_free"]
+    path, runs, fields = GRIDS[sys.argv[1] if len(sys.argv) > 1
+                               else "fault_free"]
     os.makedirs(DATA_DIR, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(compute_golden(runs), fh, indent=1, sort_keys=True)
+        json.dump(compute_golden(runs, fields), fh, indent=1,
+                  sort_keys=True)
         fh.write("\n")
     print(f"wrote {path}")

@@ -9,7 +9,6 @@ re-stripes gang jobs when the pool permanently shrinks; and the
 observability layer sees faults without perturbing the simulation.
 """
 
-import json
 import math
 import random
 import signal
