@@ -165,10 +165,12 @@ class CkksEncoder:
                         num_slots: int) -> Plaintext:
         """Encode the real constant ``value`` into every slot.
 
-        Equal limb for limb to ``encode(np.full(num_slots, value), ...)``
-        at the same arguments, without its FFT and NTT: a constant slot
-        vector is the constant polynomial ``round(value * scale)``, and
-        in NTT form every limb row is that integer mod ``q_i``.
+        A constant slot vector is the constant polynomial
+        ``round(value * scale)``, and in NTT form every limb row is that
+        integer mod ``q_i``, so no FFT and no NTT runs.  The result
+        equals ``encode(np.full(num_slots, value), ...)`` limb for limb
+        wherever that FFT's float error rounds away, as at the scales
+        :class:`~repro.fhe.align.ScaleAligner` and bootstrapping use.
         """
         _check_slots(num_slots, self.ring_degree // 2)
         coeff = value * scale

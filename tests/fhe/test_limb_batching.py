@@ -26,8 +26,8 @@ from repro.fhe import (
     Bootstrapper,
     Ciphertext,
     CkksContext,
-    CkksParams,
     CkksEncoder,
+    CkksParams,
     CkksScheme,
     Evaluator,
     KeyGenerator,
@@ -454,14 +454,14 @@ def test_one_bootstrap_transforms_every_row_once(monkeypatch, rng):
         runs.append((out, dict(counts)))
     monkeypatch.undo()
 
-    for out, tally in runs:
+    (first, cold), (second, warm) = runs
+    for tally in (cold, warm):
         assert tally["forward"] == [FORWARD_CALLS, FORWARD_ROWS]
         assert tally["inverse"] == [INVERSE_CALLS, INVERSE_ROWS]
         assert FORWARD_ROWS + tally["automorphism"] == UNBATCHED_FORWARD_ROWS
         assert INVERSE_ROWS + tally["automorphism"] == UNBATCHED_INVERSE_ROWS
-    assert runs[0][1]["encode"] == FIRST_ENCODE_FORWARD
-    assert runs[1][1]["encode"] == WARM_ENCODE_FORWARD
-    (first, _), (second, _) = runs
+    assert cold["encode"] == FIRST_ENCODE_FORWARD
+    assert warm["encode"] == WARM_ENCODE_FORWARD
     assert first.c0 == second.c0 and first.c1 == second.c1
     assert np.array_equal(scheme.decrypt(first), scheme.decrypt(second))
     assert np.max(np.abs(scheme.decrypt(first) - z)) < 0.05
