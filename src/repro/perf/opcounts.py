@@ -6,8 +6,8 @@ bootstrapping pipeline, and one HELR logistic-regression iteration.
 The counts feed the analytic baseline devices
 (:class:`repro.perf.devices.AnalyticDevice`), on which the Table 7 and
 8 drivers and ``examples/lr_training.py`` price them, so every baseline
-is evaluated on identical workloads.  The FAB model does not read them: it counts
-its own datapath in :mod:`repro.core` (e.g.
+is evaluated on identical workloads.  The FAB model does not read them:
+it counts its own datapath in :mod:`repro.core` (e.g.
 :mod:`repro.core.keyswitch_datapath`).
 """
 
