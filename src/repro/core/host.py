@@ -30,6 +30,13 @@ class HostConfig:
     register_write_s: float = 1e-6           # one AXI4-Lite atomic write
     result_readback_bytes: int = 0
 
+    def __post_init__(self):
+        # A key load must never get cheaper as more bytes miss: the
+        # serving admission bounds rest on it.
+        if self.pcie_gbytes_per_sec <= 0 or self.pcie_latency_s < 0:
+            raise ValueError("PCIe bandwidth must be positive and its "
+                             "latency non-negative")
+
 
 @dataclass
 class OffloadPlan:

@@ -23,14 +23,19 @@ oracle job for job:
   the deferrable tier) with the same lazy invalidation the DES
   head-heap uses — so the engine sees exactly the queue fronts the
   DES policy would see, at O(log queues) per dispatch.
-* **One admission pass per batch.**  edf and the deferrable tier trim
-  a batch to the largest size whose shared finish meets every
-  member's deadline, so the binding deadline is the minimum over the
-  batch: one built-in ``min`` over at most ``max_batch`` queued
-  deadlines, taken again only when a trim drops a job holding it.
-  The arrived-jobs bisect is bounded to ``max_batch`` positions, and
-  the heap pop, the take, the requeue and the key-load preview all
-  run inline in that pass.
+* **One admission pass per batch, exact state only when a bound
+  cannot decide.**  edf and the deferrable tier trim a batch to the
+  largest size whose shared finish meets every member's deadline, so
+  the binding deadline is the minimum over the batch: the head's on a
+  queue whose deadlines never fall (flagged at set-up), otherwise one
+  built-in ``min`` over at most ``max_batch`` queued deadlines, taken
+  again only when a trim drops a job holding it.  A batch that meets
+  it even with every switching key missing (the stream's cold load,
+  priced once at set-up) is taken with no key-cache read; only when
+  that bound fails are the gang's caches previewed and the batch
+  trimmed.  The arrived-jobs bisect is bounded to ``max_batch``
+  positions, and the heap pop, the take and the requeue all run
+  inline in that pass.
 * **Vectorized bookkeeping.**  Completion times are recorded as
   (batch size, finish) run-lengths per queue and expanded with
   ``np.repeat`` at the end, and the per-job arrays go straight into
@@ -61,7 +66,7 @@ import numpy as np
 from ..obs import Recorder
 from .policies import POLICIES, PriceSignal
 from .serving import (DONE, REJECTED, Scenario, ServingReport,
-                      build_report, key_caches)
+                      build_report, key_caches, key_load_seconds)
 
 
 class _QueueDomain:
@@ -137,6 +142,10 @@ class _FastEngine:
         self.s_name = [st.job_class.name for st in streams]
         self.s_secs = [st.job_class.seconds(config) for st in streams]
         self.s_nf = [st.job_class.num_fpgas for st in streams]
+        #: Each stream's load with every key missing: the bound that
+        #: lets admission skip the key-cache preview.
+        self.s_cold = [key_load_seconds(host, st.job_class.key_bytes)
+                       for st in streams]
         self.launch_s = host.kernel_launch_overhead_s
         self.pcie_denom = host.pcie_gbytes_per_sec * 1e9
         self.pcie_lat = host.pcie_latency_s
@@ -191,9 +200,17 @@ class _FastEngine:
         #: streams with unequal classes of one name share the queue
         #: and the head job's own stream must be looked up.
         self.q_stream: List[int] = []
+        #: Deadline offset from arrival that every stream feeding a
+        #: queue shares, None when they differ.  Arrivals ascend, so
+        #: such a queue's deadlines never fall and a batch's tightest
+        #: deadline is its head's.
+        q_offset: List[Optional[float]] = []
         for s, st in enumerate(streams):
             lookup = np.empty(st.num_tenants, dtype=np.int64)
             tier = st.deferrable if two_tier else False
+            offset = (st.slo_ms / 1e3 if st.slo_ms is not None
+                      else st.window_s if st.window_s is not None
+                      else math.inf)
             for t, tenant in enumerate(self.s_tenants[s]):
                 key = (tier, st.job_class.name, tenant)
                 qid = qid_of.get(key)
@@ -201,11 +218,15 @@ class _FastEngine:
                     qid = qid_of[key] = len(q_meta)
                     q_meta.append((st.job_class.name, tenant, tier))
                     self.q_stream.append(s)
+                    q_offset.append(offset)
                 elif (self.q_stream[qid] >= 0 and st.job_class
                       != self.s_class[self.q_stream[qid]]):
                     self.q_stream[qid] = -1
+                if q_offset[qid] != offset:
+                    q_offset[qid] = None
                 lookup[t] = qid
             s_qid.append(lookup)
+        self.q_mono = [offset is not None for offset in q_offset]
         nq = len(q_meta)
         qid_np = np.zeros(n, dtype=np.int64)
         for s in range(len(streams)):
@@ -444,20 +465,18 @@ class _FastEngine:
                                 min(pos + max_batch, total)) - pos
             dead = self.q_dead[qid]
             # The whole batch shares one finish time: its tightest
-            # deadline binds.
-            tight = min(dead[pos:pos + size])
+            # deadline binds, the head's where deadlines cannot fall.
+            mono = self.q_mono[qid]
+            tight = dead[pos] if mono else min(dead[pos:pos + size])
             s = self.q_stream[qid]
             if s < 0:
                 s = self._head_stream(qid, pos)
             if tight != math.inf:
                 secs = self.s_secs[s]
                 nf = self.s_nf[s]
-                jc = self.s_class[s]
-                tenant = self.q_tenant[qid]
-                caches = self.caches
-                denom, pcie_lat = self.pcie_denom, self.pcie_lat
-                # Gang start and key-load preview: the gang is this
-                # board plus the nf - 1 boards that free up first.
+                launch = self.launch_s
+                # Gang start: the gang is this board plus the nf - 1
+                # boards that free up first.
                 start = now
                 gang = [dev]
                 if nf > 1:
@@ -466,34 +485,43 @@ class _FastEngine:
                         if dev_free[i] > start:
                             start = dev_free[i]
                         gang.append(i)
-                load_s = 0.0
-                for i in gang:
-                    miss = caches[i].peek_miss_bytes(tenant, jc)
-                    load = miss / denom + pcie_lat if miss else 0.0
-                    if load > load_s:
-                        load_s = load
-                launch = self.launch_s
-                while size and (start + (launch + load_s + size * secs)
-                                > tight):
-                    size -= 1
-                    if size and dead[pos + size] == tight:
-                        # The trim may have dropped the tightest job.
-                        tight = min(dead[pos:pos + size])
-                if size == 0:
-                    if urgent_only or (
-                        start + (launch + 1 * secs) > dead[pos]
-                    ):
-                        self._reject_head(qid, now, note)
-                        self._requeue(qid)
-                    else:
-                        skipped.append(entry)
-                        if self.rec is not None:
-                            self.rec.policy_event(
-                                t=now, name="skip cold board",
-                                job_class=self.q_name[qid],
-                                tenant=tenant,
-                                job_id=self.q_jobs_np[qid].item(pos))
-                    continue
+                # A preview can only lower the load below a cold one,
+                # so a batch that fits cold is taken untrimmed with no
+                # cache read.
+                if (start + (launch + self.s_cold[s] + size * secs)
+                        > tight):
+                    jc = self.s_class[s]
+                    tenant = self.q_tenant[qid]
+                    denom, pcie_lat = self.pcie_denom, self.pcie_lat
+                    load_s = 0.0
+                    for i in gang:
+                        miss = self.caches[i].peek_miss_bytes(tenant, jc)
+                        load = miss / denom + pcie_lat if miss else 0.0
+                        if load > load_s:
+                            load_s = load
+                    while size and (start + (launch + load_s
+                                             + size * secs) > tight):
+                        size -= 1
+                        if (size and not mono
+                                and dead[pos + size] == tight):
+                            # The trim may have dropped the tightest
+                            # job.
+                            tight = min(dead[pos:pos + size])
+                    if size == 0:
+                        if urgent_only or (
+                            start + (launch + 1 * secs) > dead[pos]
+                        ):
+                            self._reject_head(qid, now, note)
+                            self._requeue(qid)
+                        else:
+                            skipped.append(entry)
+                            if self.rec is not None:
+                                self.rec.policy_event(
+                                    t=now, name="skip cold board",
+                                    job_class=self.q_name[qid],
+                                    tenant=tenant,
+                                    job_id=self.q_jobs_np[qid].item(pos))
+                        continue
             # Take the batch and queue the new head.
             head = pos + size
             q_head[qid] = head

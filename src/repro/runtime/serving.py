@@ -114,6 +114,8 @@ class JobClass:
     def __post_init__(self):
         if self.num_fpgas < 1:
             raise ValueError("num_fpgas must be >= 1")
+        if self.bytes_per_key < 0:
+            raise ValueError("bytes_per_key must be >= 0")
 
     def restriped(self, num_fpgas: int,
                   config: Optional[FabConfig] = None
@@ -453,7 +455,11 @@ class KeyCache:
 
     def peek_miss_bytes(self, tenant: str, job_class: JobClass) -> int:
         """Bytes :meth:`request` would load right now, without
-        touching residency or LRU order (the admission preview)."""
+        touching residency or LRU order (the admission preview).
+
+        Never more than ``job_class.key_bytes`` (equal on an empty
+        cache), so the fast engine consults it only when the cold
+        load of the whole working set misses the batch's deadline."""
         resident = self._resident
         return sum(job_class.bytes_per_key
                    for key in job_class.key_ids
@@ -1052,9 +1058,12 @@ def key_load_seconds(host: HostConfig, miss_bytes: int) -> float:
     The one place the PCIe cost model lives: the simulator's service
     arithmetic, the policies' admission bounds, and the default SLO
     heuristic all price key traffic through this function, so they
-    cannot drift apart.  The fast engine's admission preview and batch
-    launch repeat the same expression inline (per-batch hot path); the
-    fast-vs-DES parity suite pins them to equal floats.
+    cannot drift apart.  The fast engine calls it once per stream at
+    set-up for its cold admission bound; its admission preview and
+    batch launch repeat the same expression inline (per-batch hot
+    path), and the fast-vs-DES parity suite pins them to equal floats.
+    The result never falls as ``miss_bytes`` grows, which is what
+    makes the cold load a bound on every preview.
     """
     if miss_bytes == 0:
         return 0.0
