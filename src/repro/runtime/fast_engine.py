@@ -504,8 +504,7 @@ class _FastEngine:
                         size -= 1
                         if (size and not mono
                                 and dead[pos + size] == tight):
-                            # The trim may have dropped the tightest
-                            # job.
+                            # A trim may drop the tightest job.
                             tight = min(dead[pos:pos + size])
                     if size == 0:
                         if urgent_only or (
