@@ -11,16 +11,8 @@ Public API:
 * :class:`MultiFpgaSystem` — FAB-2 (8-board) scaling model.
 """
 
-from .arith import (BarrettConstants, MaddTable, barrett_multiplier_cost,
-                    barrett_reduce, madd_storage_bytes, mod_mult_hardware,
-                    mod_reduce_shift_add, multiword_mod_add,
-                    multiword_mod_sub, operand_scanning_mult)
-from .automorph_unit import (AutomorphUnit, apply_coefficient_automorph,
-                             automorph_index_map, coefficient_permutation)
-from .fifo import Fifo, FifoError, build_cmac_fifos, build_hbm_fifos
-from .functional_unit import FuOp, FunctionalUnitArray
 from .hbm import HbmModel, TrafficMeter
-from .host import HostConfig, HostInterface, OffloadPlan
+from .host import HostConfig
 from .keyswitch_datapath import (KeySwitchDatapath, KeySwitchReport,
                                  compare_datapaths)
 from .memory import CapacityError, MemoryBank, OnChipMemory, RegisterFile
@@ -41,23 +33,17 @@ from .trace import (format_bootstrap_report, format_op_report,
                     format_schedule, format_table)
 
 __all__ = [
-    "AcceleratorFootprint", "AutomorphUnit", "BootstrapReport",
-    "CapacityError", "DEFAULT_CONFIG", "FabConfig", "FabOpModel",
-    "FabProgram", "FabResources", "Fifo", "FifoError", "FheParams", "FpgaNode", "FuOp",
-    "FunctionalUnitArray", "HbmModel", "HostConfig", "HostInterface",
-    "KeySwitchDatapath", "OffloadPlan",
-    "KeySwitchReport", "MaddTable", "MemoryBank", "MultiFpgaSystem",
-    "NttDatapath", "OnChipMemory", "OpReport", "ProgramOp", "ProgramReport", "RegisterFile",
+    "AcceleratorFootprint", "BootstrapReport", "CapacityError",
+    "DEFAULT_CONFIG", "FabConfig", "FabOpModel", "FabProgram",
+    "FabResources", "FheParams", "FpgaNode", "HbmModel", "HostConfig",
+    "KeySwitchDatapath", "KeySwitchReport", "LimbTransfer", "MemoryBank",
+    "MultiFpgaSystem", "NttDatapath", "OnChipMemory", "OpReport",
+    "PortStriper", "ProgramOp", "ProgramReport", "RegisterFile",
     "ResourceReport", "ScheduleResult", "Task", "TaskGraph",
-    "TrafficMeter", "apply_coefficient_automorph", "automorph_index_map",
-    "build_cmac_fifos", "build_hbm_fifos", "coefficient_permutation",
-    "compare_datapaths", "execute_schedule", "format_bootstrap_report",
-    "format_op_report", "format_schedule", "format_table",
-    "forward_stage_schedule", "heax_comparison_config",
-    "madd_storage_bytes", "mod_mult_hardware", "mod_reduce_shift_add",
-    "multiword_mod_add", "multiword_mod_sub", "operand_scanning_mult",
-    "BarrettConstants", "LimbTransfer", "PortStriper",
-    "alveo_u50_config", "barrett_multiplier_cost",
-    "compare_striping_policies", "keyswitch_transfer_sequence",
-    "barrett_reduce", "smallest_viable_config", "table4_footprints",
+    "TrafficMeter", "alveo_u50_config", "compare_datapaths",
+    "compare_striping_policies", "execute_schedule",
+    "format_bootstrap_report", "format_op_report", "format_schedule",
+    "format_table", "forward_stage_schedule", "heax_comparison_config",
+    "keyswitch_transfer_sequence", "smallest_viable_config",
+    "table4_footprints",
 ]

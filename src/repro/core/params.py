@@ -83,27 +83,20 @@ class FabConfig:
     # Clocks.
     clock_hz: float = 300e6            # kernel clock
     mem_clock_hz: float = 450e6        # HBM-side AXI clock
-    cmac_clock_hz: float = 322e6       # Ethernet core clock
 
     # Compute.
     num_functional_units: int = 256
     mod_add_cycles: int = 7            # multi-word 27-bit DSP adds
-    mod_sub_cycles: int = 7
     int_mult_cycles: int = 12          # unrolled operand scanning
     mod_reduce_cycles: int = 12        # Algorithm 1 with shifts = 6
-    reduce_shift_bits: int = 6
 
     # On-chip memory (see memory.py for the bank geometry).
     uram_blocks_total: int = 962
     uram_blocks_used: int = 960
     uram_block_kbits: int = 288
-    uram_width_bits: int = 72
-    uram_depth: int = 4096
     bram_blocks_total: int = 4032
     bram_blocks_used: int = 3840
     bram_block_kbits: int = 18
-    bram_width_bits: int = 18
-    bram_depth: int = 1024
     register_file_bytes: int = 2 * 1024 * 1024
 
     # HBM2 subsystem.
@@ -112,12 +105,8 @@ class FabConfig:
     hbm_total_gb: int = 8
     hbm_efficiency: float = 0.85       # achievable fraction of peak
     hbm_read_latency_cycles: int = 300  # key-fetch latency (§4.6)
-    hbm_burst_length: int = 128
 
-    # FIFOs (§4.4).
-    rd_fifo_depth: int = 512
-    wr_fifo_depth: int = 128
-    fifo_width_bits: int = 256
+    # CMAC TX/RX FIFO width (§4.4): bounds the kernel-side link rate.
     tx_rx_fifo_width_bits: int = 512
 
     # CMAC / Ethernet (§3).
@@ -143,7 +132,7 @@ class FabConfig:
     def __post_init__(self):
         # Fail at construction, not deep inside a sweep worker: every
         # derived quantity below divides or scales by these.
-        for name in ("clock_hz", "mem_clock_hz", "cmac_clock_hz",
+        for name in ("clock_hz", "mem_clock_hz",
                      "num_functional_units", "hbm_ports",
                      "hbm_port_bits", "hbm_total_gb", "ethernet_gbps"):
             if getattr(self, name) <= 0:

@@ -117,24 +117,6 @@ class ScheduleResult:
                 entry.finish = task.finish
         return stats
 
-    def critical_tasks(self) -> List[Task]:
-        """Tasks on a critical path (finish == makespan chain)."""
-        path: List[Task] = []
-        frontier = [t for t in self.tasks.values()
-                    if t.finish == self.makespan]
-        seen = set()
-        while frontier:
-            task = frontier.pop()
-            if task.name in seen:
-                continue
-            seen.add(task.name)
-            path.append(task)
-            for dep in task.deps:
-                dep_task = self.tasks[dep]
-                if dep_task.finish == task.start:
-                    frontier.append(dep_task)
-        return sorted(path, key=lambda t: t.start or 0)
-
     def bound_by(self) -> str:
         """Which resource dominates: the one with the highest busy time."""
         if not self.resources:

@@ -2,8 +2,7 @@
 
 Everything here operates on plain Python integers (arbitrary precision),
 which makes these routines the reference implementations that the
-vectorized numpy kernels and the bit-exact hardware algorithms in
-:mod:`repro.core.arith` are tested against.
+vectorized numpy kernels are tested against.
 """
 
 from __future__ import annotations

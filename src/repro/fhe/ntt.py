@@ -17,8 +17,8 @@ the L = 1 case of the same code and also accepts a plain length-N
 vector.
 
 Primes are restricted to < 2**31 so that a product of two residues fits
-exactly in int64; the paper's 54-bit limbs are handled bit-exactly by
-:mod:`repro.core.arith` (scalar) and by the analytic performance model.
+exactly in int64; the paper's 54-bit limbs are handled by the analytic
+performance model (:mod:`repro.core`).
 """
 
 from __future__ import annotations

@@ -8,8 +8,7 @@ and the associated roots.
 The functional layer keeps primes below 2**31 so that products of two
 residues fit in a signed 64-bit integer, which lets the NTT and all
 pointwise kernels run vectorized in numpy with exact arithmetic.  The
-paper's 54-bit limbs are modelled bit-exactly in :mod:`repro.core.arith`
-and analytically everywhere else.
+paper's 54-bit limbs are modelled analytically (:mod:`repro.core`).
 """
 
 from __future__ import annotations

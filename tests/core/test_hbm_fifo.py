@@ -1,10 +1,8 @@
-"""Tests for the HBM bandwidth model and FIFO models."""
+"""Tests for the HBM bandwidth model and traffic meter."""
 
 import pytest
 
-from repro.core import FabConfig, Fifo, FifoError, HbmModel, TrafficMeter
-from repro.core.fifo import (build_cmac_fifos, build_hbm_fifos,
-                             outstanding_reads_supported)
+from repro.core import FabConfig, HbmModel, TrafficMeter
 
 
 class TestHbmModel:
@@ -76,47 +74,3 @@ class TestTrafficMeter:
         assert a.total_bytes == 30
         assert len(a.transfers) == 2
 
-
-class TestFifo:
-    def test_fifo_order(self):
-        f = Fifo("f", depth=4, width_bits=256)
-        f.push("a")
-        f.push("b")
-        assert f.pop() == "a"
-        assert f.pop() == "b"
-
-    def test_overflow(self):
-        f = Fifo("f", depth=2, width_bits=256)
-        f.push(1)
-        f.push(2)
-        with pytest.raises(FifoError):
-            f.push(3)
-
-    def test_underflow(self):
-        f = Fifo("f", depth=2, width_bits=256)
-        with pytest.raises(FifoError):
-            f.pop()
-
-    def test_peak_occupancy_tracked(self):
-        f = Fifo("f", depth=8, width_bits=256)
-        for i in range(5):
-            f.push(i)
-        f.pop()
-        assert f.peak_occupancy == 5
-        assert len(f) == 4
-
-    def test_paper_fifo_geometry(self):
-        cfg = FabConfig()
-        rd, wr = build_hbm_fifos(cfg)
-        assert len(rd) == 32 and len(wr) == 32
-        assert rd[0].depth == 512      # four outstanding reads
-        assert wr[0].depth == 128      # one HBM burst
-        assert rd[0].width_bits == 256
-
-    def test_outstanding_reads(self):
-        assert outstanding_reads_supported(FabConfig()) == 4
-
-    def test_cmac_fifo_width(self):
-        tx, rx = build_cmac_fifos(FabConfig())
-        assert tx.width_bits == 512  # keeps up with 100G Ethernet
-        assert rx.width_bits == 512

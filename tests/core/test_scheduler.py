@@ -132,7 +132,6 @@ class TestEdgeCases:
         result = TaskGraph().schedule()
         assert result.makespan == 0
         assert result.resources == {}
-        assert result.critical_tasks() == []
         assert result.bound_by() == "none"
 
     def test_zero_cycle_task(self):
@@ -158,13 +157,6 @@ class TestStats:
         g.add("a", "fu", 10)
         g.add("b", "hbm", 100)
         assert g.schedule().bound_by() == "hbm"
-
-    def test_critical_tasks_nonempty(self):
-        g = TaskGraph()
-        g.add("a", "fu", 10)
-        g.add("b", "fu", 20, deps=["a"])
-        crit = g.schedule().critical_tasks()
-        assert [t.name for t in crit] == ["a", "b"]
 
 
 class TestProperties:
