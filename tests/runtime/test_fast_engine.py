@@ -13,7 +13,7 @@ import dataclasses
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core import FabConfig
@@ -150,7 +150,9 @@ class TestHypothesisParity:
         ]
         scenario = Scenario("decreasing", duration, streams)
         # Guard against a vacuous pass: some queue must really see a
-        # job whose deadline is tighter than the one ahead of it.
+        # job whose deadline is tighter than the one ahead of it.  A
+        # short, lightly loaded draw (seed 713, load 0.5, one device)
+        # can produce none; such an example is discarded, not passed.
         last: dict = {}
         decreases = 0
         for chunk in scenario.arrivals(seed):
@@ -165,7 +167,7 @@ class TestHypothesisParity:
                 if key in last and deadline < last[key]:
                     decreases += 1
                 last[key] = deadline
-        assert decreases > 0
+        assume(decreases > 0)
         simulator = ServingSimulator(config, num_devices=devices,
                                      max_batch=max_batch)
         des = simulator.run(scenario, seed=seed, policy=policy)
