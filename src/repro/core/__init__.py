@@ -3,10 +3,14 @@
 Public API:
 
 * :class:`FabConfig` / :class:`FheParams` — hardware + FHE configuration.
+* :class:`HostConfig` — PCIe and kernel-launch constants for serving.
 * :class:`FabOpModel` — cycle costs for every CKKS op and bootstrapping.
 * :class:`KeySwitchDatapath` — original vs modified datapath (Fig. 5).
 * :class:`NttDatapath` — the unified NTT pipeline (§4.5).
+* :class:`HbmModel` — HBM2 bandwidth and key-fetch latency (§5.1).
 * :class:`OnChipMemory` — URAM/BRAM bank model (§4.2).
+* :class:`TaskGraph` / :class:`FabProgram` — scheduling with key prefetch.
+* :class:`PortStriper` — HBM port striping policies (§4.6).
 * :class:`FabResources` — Table 3 utilization accounting.
 * :class:`MultiFpgaSystem` — FAB-2 (8-board) scaling model.
 """
