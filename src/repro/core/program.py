@@ -151,7 +151,7 @@ class FabProgram:
         fetch_cycles = (self.hbm.transfer_cycles(report.hbm_bytes,
                                                  include_latency=True)
                         if report.hbm_bytes else 0)
-        compute_cycles = max(report.cycles - 0, 1)
+        compute_cycles = max(report.cycles, 1)
         self._cost_cache[key] = (compute_cycles, fetch_cycles)
         return compute_cycles, fetch_cycles
 

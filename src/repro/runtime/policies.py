@@ -247,7 +247,9 @@ class DispatchView:
     batch led by ``job`` would take if dispatched right now: the
     simulator previews the gang's key-cache state without mutating
     it, so an admission test against this oracle is tight — an
-    admitted batch finishes exactly when predicted.
+    admitted batch finishes exactly when predicted.  The preview is
+    the costly part of admission, so policies consult it only when
+    the cold bound (``PolicyContext.service_bound_s``) cannot decide.
 
     The simulator reuses one instance across dispatches (updating it
     in place on its hot loop), so a view is only valid for the
@@ -417,13 +419,18 @@ def _edf_admit(
     member's effective deadline from the gang start (all members of
     a batch finish together, and a later-arriving member may carry a
     *tighter* SLO than the head, so the binding deadline is the
-    prefix minimum).  A head that misses its deadline on *this*
-    board is not necessarily infeasible — this board's key cache may
-    simply be cold — so it is rejected only when even the best-case
-    service (``ctx.best_case_s``: launch + compute, keys resident)
-    from the earliest possible start misses, which no board can
-    beat; otherwise the head is *skipped* (left queued for a warmer
-    board or a later dispatch) and the scan moves to the next queue.
+    prefix minimum).  The exact finish needs a key-cache preview
+    (``view.service_s``), which is consulted only when the cold bound
+    (``ctx.service_bound_s``: every key missing) cannot decide: the
+    preview never exceeds that bound, so a batch that fits even cold
+    is taken untrimmed with no cache read.  A head that misses its
+    deadline on *this* board is not necessarily infeasible — this
+    board's key cache may simply be cold — so it is rejected only
+    when even the best-case service (``ctx.best_case_s``: launch +
+    compute, keys resident) from the earliest possible start misses,
+    which no board can beat; otherwise the head is *skipped* (left
+    queued for a warmer board or a later dispatch) and the scan moves
+    to the next queue.
     With ``urgent_only``, heads whose priority lies in the future
     are left queued (the deferrable tier's "forced start" gate) and
     a miss is *final*: the forced start was computed from the
@@ -456,32 +463,39 @@ def _edf_admit(
                 prefix_min.append(deadline)
             if prefix_min and prefix_min[size - 1] != math.inf:
                 start = view.gang_start(head.job_class.num_fpgas)
-                while size and (
-                    prefix_min[size - 1] != math.inf
-                    and start + view.service_s(head, size)
-                    > prefix_min[size - 1]
-                ):
-                    size -= 1
-                if size == 0:
-                    deadline = head.effective_deadline_s
-                    if urgent_only or (
-                        start + ctx.best_case_s(head.job_class, 1)
-                        > deadline
+                # A preview can only lower the load below a cold one,
+                # so a batch that fits cold is taken untrimmed with no
+                # key-cache read.
+                if (start + ctx.service_bound_s(head.job_class, size)
+                        > prefix_min[size - 1]):
+                    while size and (
+                        prefix_min[size - 1] != math.inf
+                        and start + view.service_s(head, size)
+                        > prefix_min[size - 1]
                     ):
-                        # Final rejection: infeasible on any board, or
-                        # past the forced start (see docstring).
-                        qset.reject_head(queue, ctx.reject)
-                        qset.requeue_head(key)
-                    else:
-                        # Only this board (cold keys) misses: leave
-                        # the job queued for a warmer/later dispatch.
-                        skipped.append(key)
-                        if ctx.recorder.enabled:
-                            ctx.recorder.policy_event(
-                                t=view.now, name="skip cold board",
-                                job_class=key[0], tenant=key[1],
-                                job_id=head.job_id)
-                    continue
+                        size -= 1
+                    if size == 0:
+                        deadline = head.effective_deadline_s
+                        if urgent_only or (
+                            start + ctx.best_case_s(head.job_class, 1)
+                            > deadline
+                        ):
+                            # Final rejection: infeasible on any
+                            # board, or past the forced start (see
+                            # docstring).
+                            qset.reject_head(queue, ctx.reject)
+                            qset.requeue_head(key)
+                        else:
+                            # Only this board (cold keys) misses:
+                            # leave the job queued for a warmer/later
+                            # dispatch.
+                            skipped.append(key)
+                            if ctx.recorder.enabled:
+                                ctx.recorder.policy_event(
+                                    t=view.now, name="skip cold board",
+                                    job_class=key[0], tenant=key[1],
+                                    job_id=head.job_id)
+                        continue
             batch = qset.take(queue, size)
             qset.requeue_head(key)
             return batch

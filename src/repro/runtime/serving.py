@@ -174,7 +174,7 @@ class JobClass:
                    source=source)
 
 
-@dataclass
+@dataclass(slots=True)
 class Job:
     """One request: a job class instance owned by a tenant.
 
@@ -385,7 +385,9 @@ class Scenario:
             self, chunks: Iterator[ArrivalChunk]) -> List[Job]:
         """Materialize :class:`Job` objects from :meth:`arrivals`
         chunks (how :meth:`generate` builds the DES's job list)."""
-        per_stream = [(st.job_class, st.tenant_prefix,
+        per_stream = [(st.job_class,
+                       [f"{st.tenant_prefix}{t}"
+                        for t in range(st.num_tenants)],
                        None if st.slo_ms is None else st.slo_ms / 1e3,
                        st.window_s, st.deferrable)
                       for st in self.streams]
@@ -395,10 +397,10 @@ class Scenario:
                        chunk.stream_index.tolist(),
                        chunk.tenant_index.tolist())
             for job_id, (t, s, tenant) in enumerate(rows, chunk.start_id):
-                job_class, prefix, slo_s, window_s, deferrable = \
+                job_class, names, slo_s, window_s, deferrable = \
                     per_stream[s]
                 jobs.append(Job(
-                    job_id, job_class, f"{prefix}{tenant}", t,
+                    job_id, job_class, names[tenant], t,
                     deadline_s=None if slo_s is None else t + slo_s,
                     window_end_s=(None if window_s is None
                                   else t + window_s),
@@ -559,7 +561,6 @@ class SetKeyCache(KeyCache):
     def _load(self, tenant: str, job_class: JobClass) -> int:
         key_ids = job_class.key_ids
         n_keys = len(key_ids)
-        bytes_per_key = job_class.bytes_per_key
         entry = (tenant, key_ids)
         resident = self._resident
         held = resident.get(entry)
@@ -569,35 +570,47 @@ class SetKeyCache(KeyCache):
             count = held[0]
             resident.move_to_end(entry)
             self.hits += count
+            if count == n_keys:
+                # Residency only exceeds capacity while the last
+                # request's set is all that is left, so a full hit
+                # never evicts.
+                return 0
         missed = n_keys - count
+        bytes_per_key = job_class.bytes_per_key
         if missed:
             resident[entry] = (n_keys, bytes_per_key)
             self.misses += missed
             self._resident_bytes += missed * bytes_per_key
+        resident_bytes = self._resident_bytes
         capacity = self.capacity_bytes
         # The requesting set sits pinned at the MRU end; evict from the
         # LRU front a set (or its oldest keys) at a time, exactly as
         # the per-key loop evicts key by key.
-        while self._resident_bytes > capacity:
-            victim, (v_count, v_bytes) = next(iter(resident.items()))
+        evictions = bytes_evicted = 0
+        while resident_bytes > capacity:
+            victim, held = resident.popitem(last=False)
             if victim == entry:
+                # Only the pinned set is left.
+                resident[entry] = held
                 break
+            v_count, v_bytes = held
             if v_bytes == 0:
                 # Zero-byte keys free no space; the per-key loop pops
                 # them one by one and moves on.
-                del resident[victim]
-                self.evictions += v_count
+                evictions += v_count
                 continue
             evict = min(v_count,
-                        -((capacity - self._resident_bytes) // v_bytes))
-            if evict == v_count:
-                del resident[victim]
-            else:
+                        -((capacity - resident_bytes) // v_bytes))
+            if evict < v_count:
                 # The survivors keep the entry's LRU-front position.
                 resident[victim] = (v_count - evict, v_bytes)
-            self._resident_bytes -= evict * v_bytes
-            self.evictions += evict
-            self.bytes_evicted += evict * v_bytes
+                resident.move_to_end(victim, last=False)
+            resident_bytes -= evict * v_bytes
+            evictions += evict
+            bytes_evicted += evict * v_bytes
+        self._resident_bytes = resident_bytes
+        self.evictions += evictions
+        self.bytes_evicted += bytes_evicted
         return missed * bytes_per_key
 
     def drop_all(self) -> int:
