@@ -1,15 +1,17 @@
-"""The bounds that let fast-engine admission skip exact state.
+"""The bounds that let edf admission skip exact state, in both engines.
 
-The fast engine's edf admission reads a board's key cache only when a
-cheap bound cannot decide: a batch that meets its deadline even with
-every switching key missing is taken with no preview.  That is exact
-only because the cold load dominates every preview, which the first
-group of tests pins for both key-cache classes and for the engine's
-own per-stream cold load.  The second group makes the preview decide:
-with an interactive SLO between the best-case and the cold-start
-service time of one job, the bound never passes, boards with cold
-keys skip heads the DES also skips, and the two engines still agree
-report for report.
+The DES (``policies._edf_admit``) and the fast engine each read a
+board's key cache only when a cheap bound cannot decide: a batch that
+meets its deadline even with every switching key missing is taken
+with no preview.  That is exact only because the cold load dominates
+every preview, which the first group of tests pins for both key-cache
+classes and for the fast engine's own per-stream cold load.  The
+second group makes the preview decide: with an interactive SLO
+between the best-case and the cold-start service time of one job, the
+bound never passes, both engines preview, boards with cold keys skip
+heads, and the two engines still agree report for report.  Under the
+default SLO, the bound decides every admission and neither engine
+previews at all.
 """
 
 from __future__ import annotations
@@ -197,6 +199,8 @@ class TestPreviewDecides:
         recorder = _PolicyEvents()
         des = sim.run(scenario, seed=1, policy=policy, recorder=recorder)
         assert recorder.events["skip cold board"] > 0
+        assert previews["peek"] > 0
+        previews.clear()
         fast = sim.run(scenario, seed=1, policy=policy, engine="fast")
         assert previews["peek"] > 0
         assert_reports_identical(fast, des)
@@ -222,9 +226,16 @@ class TestPreviewDecides:
 
     def test_default_slo_needs_no_preview(self, config, previews):
         """Under the default SLO (three cold-start service times) at
-        moderate load, the cold bound decides every admission."""
+        moderate load, the cold bound decides every admission in
+        either engine."""
         sim = ServingSimulator(config)
         scenario = build_slo_scenario(config, duration_s=1.0, target_load=0.6)
-        report = sim.run(scenario, seed=1, policy="edf", engine="fast")
-        assert report.batches > 0
+        interactive = scenario.streams[0]
+        bound_s = sim.service_bound_s(interactive.job_class, 1)
+        assert interactive.slo_ms / 1e3 > bound_s
+        des = sim.run(scenario, seed=1, policy="edf")
+        assert des.batches > 0
         assert previews["peek"] == 0
+        fast = sim.run(scenario, seed=1, policy="edf", engine="fast")
+        assert previews["peek"] == 0
+        assert_reports_identical(fast, des)

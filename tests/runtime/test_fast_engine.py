@@ -306,6 +306,26 @@ class TestSetKeyCache:
                 assert key_stats[field] == set_stats[field], field
             assert per_set.resident_bytes == per_key.resident_bytes
             assert per_set.hit_rate == per_key.hit_rate
+            assert self._residency(per_set) == self._residency(per_key)
+
+    def _residency(self, cache):
+        """Resident ``((tenant, key_ids), count, bytes_per_key)`` runs
+        in LRU order: per-key entries grouped by the set they belong
+        to (every key id here names its class), working-set entries
+        as they are."""
+        if isinstance(cache, SetKeyCache):
+            return [(entry, count, size)
+                    for entry, (count, size) in cache._resident.items()]
+        key_sets = {key: jc.key_ids for jc in self.CLASSES
+                    for key in jc.key_ids}
+        runs = []
+        for (tenant, key), size in cache._resident.items():
+            entry = (tenant, key_sets[key])
+            if runs and runs[-1][0] == entry:
+                runs[-1][1] += 1
+            else:
+                runs.append([entry, 1, size])
+        return [tuple(run) for run in runs]
 
     @given(steps=st.lists(
                st.one_of(st.none(),
@@ -317,8 +337,9 @@ class TestSetKeyCache:
         """Any sequence of requests and fault wipes — partial
         evictions, zero-byte keys, empty key sets and the oversized
         pinned set ("big" outsizes most capacities) included — returns
-        the same bytes, previews the same misses and keeps every
-        counter equal."""
+        the same bytes, previews the same misses, keeps every counter
+        equal and keeps the same keys resident in the same LRU
+        order."""
         self._drive(steps, capacity)
 
     def test_peek_matches_request(self):

@@ -1,5 +1,6 @@
 """Tests for the multi-tenant serving simulator."""
 
+import dataclasses
 import hashlib
 import json
 import pathlib
@@ -9,9 +10,9 @@ import sys
 import pytest
 
 from repro.core import FabConfig
-from repro.runtime import (JobClass, KeyCache, Scenario, ServingSimulator,
-                           Stream, build_job_classes, build_scenarios,
-                           lr_inference_trace, percentile)
+from repro.runtime import (Job, JobClass, KeyCache, Scenario,
+                           ServingSimulator, Stream, build_job_classes,
+                           build_scenarios, lr_inference_trace, percentile)
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 from _golden_grid import (FIFO_BASELINE_PATH,  # noqa: E402
@@ -153,6 +154,30 @@ class TestJobClass:
         assert "relin" in job.key_ids
         assert job.seconds(config) == pytest.approx(
             job.cycles / config.clock_hz)
+
+
+class TestJob:
+    def test_undeclared_attribute_raises(self, job_classes):
+        """``Job`` is slotted: a misspelt field is an error, not a new
+        attribute that every reader silently ignores."""
+        job = Job(0, job_classes["lr_inference"], "t0", 0.5)
+        with pytest.raises(AttributeError):
+            job.shed_reson = "x"
+        job.shed_reason = "retry_budget"
+        assert job.shed_reason == "retry_budget"
+
+    def test_replace_and_asdict(self, job_classes):
+        job = Job(7, job_classes["lr_inference"], "t0", 0.5,
+                  deadline_s=0.75)
+        retried = dataclasses.replace(job, retries=2)
+        assert (retried.job_id, retried.retries, retried.deadline_s) == (
+            7, 2, 0.75)
+        assert job.retries == 0
+        fields = dataclasses.asdict(job)
+        assert list(fields) == [f.name for f in dataclasses.fields(Job)]
+        assert fields["deadline_s"] == 0.75
+        assert fields["shed_reason"] is None
+        assert retried.effective_deadline_s == 0.75
 
 
 class TestSimulator:
