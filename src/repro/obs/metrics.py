@@ -11,7 +11,7 @@ fixed-width time windows and reports, per window:
   per (class, tenant) queue;
 * **key-cache behaviour** — bytes loaded per window plus the rolling
   pool-wide hit rate, resident bytes, and cumulative evicted bytes
-  (from :meth:`repro.runtime.serving.KeyCache.stats` snapshots);
+  (from :meth:`repro.runtime.serving.KeyCache.counters` snapshots);
 * **SLO attainment** — deadline-carrying jobs finishing (or rejected)
   in the window, met/total, plus the rolling attainment;
 * **price** — the mean :class:`PriceSignal` level over the window and
@@ -20,13 +20,16 @@ fixed-width time windows and reports, per window:
 The recorder is columnar.  A hook does no window arithmetic: it
 appends the event's raw columns to typed buffers (:mod:`array`) —
 ``(t, value)`` for a point event such as a batch's jobs or cost,
-``(t0, t1, scale)`` for a busy or queue-depth span, one six-int pool
-aggregate per key-cache snapshot.  Every :data:`FLUSH_EVENTS` rows,
-at ``run_end``, and before any read, the buffers are bucketed into
-float64 window arrays in vectorized passes: :func:`window_indices` is
-:func:`window_index` over an array, each span expands into its window
-segments with the same float expressions as a window-by-window walk,
-and ``np.add.at`` adds each window's terms in event order.  So every
+``(t0, t1, scale)`` for a busy or queue-depth span, and for a
+key-cache snapshot one raw row per gang member (its board and six
+counters).  Every :data:`FLUSH_EVENTS` rows, at ``run_end``, and
+before any read, the buffers are bucketed into float64 window arrays
+in vectorized passes: :func:`window_indices` is :func:`window_index`
+over an array, each span expands into its window segments with the
+same float expressions as a window-by-window walk, and ``np.add.at``
+adds each window's terms in event order.  The pool-wide cache
+aggregate of each snapshot is derived there too, from per-board
+deltas summed in int64 (exact, like the per-event sum).  So every
 series is bit-identical to adding event by event (the per-event
 oracle property in ``tests/obs/test_metrics_oracle.py``), and memory
 stays O(windows) however many events a run records.
@@ -45,7 +48,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .recorder import MemberLoad, Recorder
+from .recorder import CacheCounters, MemberLoad, Recorder
 
 _CACHE_KEYS = ("hits", "misses", "bytes_loaded", "evictions",
                "bytes_evicted", "resident_bytes")
@@ -149,7 +152,7 @@ class MetricsRecorder(Recorder):
         self._price: Optional[Any] = None
         # Buffered event columns (see _new_buffers).  A hook that
         # buffers a level or a snapshot also buffers a point, so the
-        # point and span buffers bound all four.
+        # point, span and snapshot-member buffers bound them all.
         self._new_buffers()
         # Window arrays, column capacity doubled on demand.
         self._cap = 0
@@ -167,10 +170,11 @@ class MetricsRecorder(Recorder):
         self._board_rows: Dict[int, int] = {}
         self._queue_rows: Dict[Tuple[str, str], int] = {}
         self._queue_names: Dict[str, int] = {}
-        # Pool-aggregate key-cache counters: each board's last
-        # snapshot and their running (exact, integer) sum.
-        self._cache_last: Dict[int, List[int]] = {}
-        self._cache_agg = [0] * len(_CACHE_KEYS)
+        # Pool-aggregate key-cache counters, carried across flushes:
+        # each board's last snapshot (a row per board index) and
+        # their running (exact, integer) sum.
+        self._cache_last = np.zeros((0, len(_CACHE_KEYS)), dtype=np.int64)
+        self._cache_agg = np.zeros(len(_CACHE_KEYS), dtype=np.int64)
         # queue-depth integration state: the last sample's total and
         # nonzero (row, depth) pairs, open since _q_last_t.
         self._q_last_t = 0.0
@@ -240,19 +244,22 @@ class MetricsRecorder(Recorder):
 
     def _new_buffers(self) -> None:
         """Empty event columns: points (t, value, series), spans (t0,
-        t1, scale, row), sample-and-hold levels (t, value, series) and
-        pool cache snapshots (t, six ints)."""
+        t1, scale, row), sample-and-hold levels (t, value, series),
+        cache snapshots (t, end of their member rows) and snapshot
+        member rows (board, six counters)."""
         self._pt_t, self._pt_v, self._pt_s = \
             array("d"), array("d"), array("b")
         self._sp_t0, self._sp_t1, self._sp_v, self._sp_r = \
             array("d"), array("d"), array("d"), array("q")
         self._hold_t, self._hold_v, self._hold_s = \
             array("d"), array("d"), array("b")
-        self._snap_t, self._snap_v = array("d"), array("q")
+        self._snap_t, self._snap_end = array("d"), array("q")
+        self._snap_b, self._snap_v = array("q"), array("q")
 
     def _maybe_flush(self) -> None:
         if (len(self._pt_t) >= FLUSH_EVENTS
-                or len(self._sp_t0) >= FLUSH_EVENTS):
+                or len(self._sp_t0) >= FLUSH_EVENTS
+                or len(self._snap_b) >= FLUSH_EVENTS):
             self._flush()
 
     # -- bucketing -----------------------------------------------------
@@ -325,11 +332,43 @@ class MetricsRecorder(Recorder):
             win = window_indices(np.frombuffer(self._snap_t), w)
             self._reserve(int(win.max()) + 1)
             at = _last_occurrence(win)
-            snaps = np.frombuffer(self._snap_v, dtype=np.int64).reshape(
-                -1, len(_CACHE_KEYS))
-            self._snaps[win[at]] = snaps[at]
+            self._snaps[win[at]] = self._pool_snapshots()[at]
             self._snapped[win[at]] = True
         self._new_buffers()
+
+    def _pool_snapshots(self) -> np.ndarray:
+        """The pool aggregate after each buffered snapshot: every
+        board's latest counters summed, exactly (int64).
+
+        Each member row becomes its board's delta against that board's
+        previous snapshot (carried across flushes in ``_cache_last``,
+        zero before the first); the running sum of the deltas, read at
+        each snapshot's last member row, is the aggregate.  A stable
+        sort by board lines up each board's rows in event order.  The
+        deltas are taken in place: the temporaries stay few, since
+        they set the flush's share of peak memory."""
+        boards = np.frombuffer(self._snap_b, dtype=np.int64)
+        rows = np.frombuffer(self._snap_v, dtype=np.int64).reshape(
+            -1, len(_CACHE_KEYS))
+        last = self._cache_last = _fit(
+            self._cache_last,
+            (max(len(self._cache_last), int(boards.max(initial=-1)) + 1),
+             len(_CACHE_KEYS)))
+        order = np.argsort(boards, kind="stable")
+        board = boards[order]
+        first = np.ones(len(board), dtype=bool)
+        first[1:] = board[1:] != board[:-1]
+        final = np.ones(len(board), dtype=bool)
+        final[:-1] = first[1:]
+        running = np.vstack([self._cache_agg, rows])
+        delta = running[1:]
+        later = ~first[1:]
+        delta[order[1:][later]] -= rows[order[:-1][later]]
+        delta[order[first]] -= last[board[first]]
+        last[board[final]] = rows[order[final]]
+        np.cumsum(running, axis=0, out=running)
+        self._cache_agg = running[-1].copy()
+        return running[np.frombuffer(self._snap_end, dtype=np.int64)]
 
     # -- Recorder hooks ------------------------------------------------
 
@@ -356,35 +395,54 @@ class MetricsRecorder(Recorder):
     def batch(self, *, start: float, finish: float, job_class: str,
               tenant: str, batch_size: int, launch_s: float,
               members: Sequence[MemberLoad],
-              cache_stats: Sequence[Mapping[str, int]] = (),
+              cache_stats: Sequence[CacheCounters] = (),
               slo_met: int = 0, slo_total: int = 0,
               cost: float = 0.0, killed: bool = False) -> None:
+        # The hottest hook appends straight into the buffers: the rows
+        # _point would take, in the same order.
+        pt_t, pt_v, pt_s = self._pt_t, self._pt_v, self._pt_s
+        board_rows = self._board_rows
+        t_max = self._max_t
         for board, _, miss_bytes in members:
-            row = self._board_row(board)
+            # Row 0 is the total queue depth, so a board row is truthy.
+            row = board_rows.get(board) or self._board_row(board)
             if finish > start:
                 self._sp_t0.append(start)
                 self._sp_t1.append(finish)
                 self._sp_v.append(1.0)
                 self._sp_r.append(row)
             if miss_bytes:
-                self._point(start + launch_s, miss_bytes, _LOAD_BYTES)
+                t = start + launch_s
+                pt_t.append(t)
+                pt_v.append(miss_bytes)
+                pt_s.append(_LOAD_BYTES)
+                if t > t_max:
+                    t_max = t
         if not killed:
-            self._point(finish, batch_size, _JOBS)
-        self._point(finish, cost, _COST)
+            pt_t.append(finish)
+            pt_v.append(batch_size)
+            pt_s.append(_JOBS)
+        pt_t.append(finish)
+        pt_v.append(cost)
+        pt_s.append(_COST)
         if slo_total:
-            self._point(finish, slo_met, _SLO_MET)
-            self._point(finish, slo_total, _SLO_TOTAL)
+            pt_t.extend((finish, finish))
+            pt_v.extend((slo_met, slo_total))
+            pt_s.extend((_SLO_MET, _SLO_TOTAL))
+        if finish > t_max:
+            t_max = finish
+        self._max_t = t_max
+        snap_b = self._snap_b
         if cache_stats:
-            agg = self._cache_agg
-            for (board, _, _), stats in zip(members, cache_stats):
-                new = [int(stats.get(key, 0)) for key in _CACHE_KEYS]
-                old = self._cache_last.get(board, _NO_STATS)
-                self._cache_last[board] = new
-                agg = [a + n - o for a, n, o in zip(agg, new, old)]
-            self._cache_agg = agg
+            snap_v = self._snap_v
+            for member, counters in zip(members, cache_stats):
+                snap_b.append(member[0])
+                snap_v.extend(counters)
             self._snap_t.append(finish)
-            self._snap_v.extend(agg)
-        self._maybe_flush()
+            self._snap_end.append(len(snap_b))
+        if (len(pt_t) >= FLUSH_EVENTS or len(self._sp_t0) >= FLUSH_EVENTS
+                or len(snap_b) >= FLUSH_EVENTS):
+            self._flush()
 
     def board_fault(self, *, t: float, board: int,
                     permanent: bool = False,
@@ -444,7 +502,7 @@ class MetricsRecorder(Recorder):
     def queue_sample(self, *, t: float, total: int,
                      depths: Optional[Dict[Tuple[str, str], int]] = None
                      ) -> None:
-        self._close_queue_span(self._finite(t))
+        self._close_queue_span(t if math.isfinite(t) else self._finite(t))
         self._q_last_total = total
         if total > self.peak_queue_depth:
             self.peak_queue_depth = total
@@ -454,26 +512,32 @@ class MetricsRecorder(Recorder):
                             for key, depth in depths.items() if depth]
         else:
             self._q_last = ()
-        self._maybe_flush()
+        # Only the span buffer grew.
+        if len(self._sp_t0) >= FLUSH_EVENTS:
+            self._flush()
 
     def _close_queue_span(self, t: float) -> None:
         """Buffer the depth spans of the last sample, open until
         ``t``."""
-        if t <= self._q_last_t:
-            return
         t0 = self._q_last_t
-        if self._q_last_total:
-            self._sp_t0.append(t0)
-            self._sp_t1.append(t)
-            self._sp_v.append(self._q_last_total)
-            self._sp_r.append(_QUEUE_ROW)
-        for row, depth in self._q_last:
-            self._sp_t0.append(t0)
-            self._sp_t1.append(t)
-            self._sp_v.append(depth)
-            self._sp_r.append(row)
-        if (self._q_last_total or self._q_last) and t > self._max_t:
-            self._max_t = t
+        if t <= t0:
+            return
+        total, depths = self._q_last_total, self._q_last
+        if total or depths:
+            sp_t0, sp_t1, sp_v, sp_r = \
+                self._sp_t0, self._sp_t1, self._sp_v, self._sp_r
+            if total:
+                sp_t0.append(t0)
+                sp_t1.append(t)
+                sp_v.append(total)
+                sp_r.append(_QUEUE_ROW)
+            for row, depth in depths:
+                sp_t0.append(t0)
+                sp_t1.append(t)
+                sp_v.append(depth)
+                sp_r.append(row)
+            if t > self._max_t:
+                self._max_t = t
         self._q_last_t = t
 
     def run_end(self, *, makespan_s: float,

@@ -24,11 +24,16 @@ runtime, core, and experiments layers can all depend on it freely.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 
 #: One gang member's contribution to a batch: ``(board_index,
 #: key_load_seconds, key_miss_bytes)``.
 MemberLoad = Tuple[int, float, int]
+
+#: One board's key-cache snapshot: ``(hits, misses, bytes_loaded,
+#: evictions, bytes_evicted, resident_bytes)``, as
+#: :meth:`repro.runtime.serving.KeyCache.counters` returns it.
+CacheCounters = Tuple[int, int, int, int, int, int]
 
 
 class Recorder:
@@ -70,17 +75,17 @@ class Recorder:
     def batch(self, *, start: float, finish: float, job_class: str,
               tenant: str, batch_size: int, launch_s: float,
               members: Sequence[MemberLoad],
-              cache_stats: Sequence[Mapping[str, int]] = (),
+              cache_stats: Sequence[CacheCounters] = (),
               slo_met: int = 0, slo_total: int = 0,
               cost: float = 0.0, killed: bool = False) -> None:
         """A batch serviced on a gang of boards over
         ``[start, finish]``.  ``members`` aligns with the gang
         (master first); ``cache_stats`` (when provided) aligns with
-        ``members`` and snapshots each board's key cache *after* the
-        batch's key requests.  ``killed`` marks a batch a board fault
-        aborted at ``finish``: its boards were busy, its keys loaded
-        and its cost paid, but none of its jobs completed (they went
-        to the retry policy)."""
+        ``members``: one :data:`CacheCounters` tuple per board,
+        snapshotting its key cache *after* the batch's key requests.
+        ``killed`` marks a batch a board fault aborted at ``finish``:
+        its boards were busy, its keys loaded and its cost paid, but
+        none of its jobs completed (they went to the retry policy)."""
 
     def defer(self, *, board: int, t: float, wake: float) -> None:
         """The policy left ``board`` idle at ``t``; the simulator

@@ -29,7 +29,7 @@ import json
 import math
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .recorder import MemberLoad, Recorder
+from .recorder import CacheCounters, MemberLoad, Recorder
 
 _US = 1e6  # seconds -> trace-event microseconds
 
@@ -174,9 +174,12 @@ class TimelineRecorder(Recorder):
     def batch(self, *, start: float, finish: float, job_class: str,
               tenant: str, batch_size: int, launch_s: float,
               members: Sequence[MemberLoad],
-              cache_stats: Sequence[Mapping[str, int]] = (),
+              cache_stats: Sequence[CacheCounters] = (),
               slo_met: int = 0, slo_total: int = 0,
               cost: float = 0.0, killed: bool = False) -> None:
+        """One batch span per gang board, with its key-load segment.
+        ``cache_stats`` (per-board :data:`CacheCounters` tuples) is
+        accepted and not drawn."""
         # A killed batch draws like any other span; its abort shows as
         # the ``batch_killed`` policy instant the simulator emits.
         gang = [board for board, _, _ in members]

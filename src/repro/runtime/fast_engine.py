@@ -771,8 +771,7 @@ class _FastEngine:
                     start=start, finish=finish, job_class=name,
                     tenant=tenant, batch_size=size,
                     launch_s=launch, members=member_loads,
-                    cache_stats=tuple(caches[di].stats()
-                                      for di in gang),
+                    cache_stats=[caches[di].counters() for di in gang],
                     slo_met=slo_met, slo_total=slo_total,
                     cost=batch_cost)
         if rec is not None:

@@ -894,7 +894,7 @@ def run_with_ledger(
                         batch_size=len(batch),
                         launch_s=launch_overhead_s,
                         members=member_loads,
-                        cache_stats=tuple(m.cache.stats() for m in gang),
+                        cache_stats=[m.cache.counters() for m in gang],
                         cost=len(gang) * price.integral(start, fail_t),
                         killed=True,
                     )
@@ -947,7 +947,7 @@ def run_with_ledger(
                 batch_size=len(batch),
                 launch_s=launch_overhead_s,
                 members=member_loads,
-                cache_stats=tuple(m.cache.stats() for m in gang),
+                cache_stats=[m.cache.counters() for m in gang],
                 slo_met=slo_met,
                 slo_total=slo_total,
                 cost=batch_cost,

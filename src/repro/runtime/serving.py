@@ -57,6 +57,7 @@ from ..core.params import FabConfig
 from ..core.trace import format_table
 from ..experiments.common import ExperimentResult, ExperimentRow
 from ..obs import Recorder
+from ..obs.metrics import _CACHE_KEYS
 from .arrivals import ArrivalProcess, PoissonProcess, make_process
 from .lowering import cost_trace
 from .optrace import OpTrace
@@ -524,17 +525,16 @@ class KeyCache:
             return 0.0
         return self.hits / total
 
+    def counters(self) -> Tuple[int, int, int, int, int, int]:
+        """Cumulative counters plus current residency, in
+        :data:`repro.obs.metrics._CACHE_KEYS` order: what recorders
+        snapshot per batch."""
+        return (self.hits, self.misses, self.bytes_loaded,
+                self.evictions, self.bytes_evicted, self._resident_bytes)
+
     def stats(self) -> Dict[str, int]:
-        """Cumulative counters plus current residency, as one dict
-        (what recorders snapshot per batch)."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "bytes_loaded": self.bytes_loaded,
-            "evictions": self.evictions,
-            "bytes_evicted": self.bytes_evicted,
-            "resident_bytes": self._resident_bytes,
-        }
+        """:meth:`counters` keyed by name."""
+        return dict(zip(_CACHE_KEYS, self.counters()))
 
 
 class SetKeyCache(KeyCache):
