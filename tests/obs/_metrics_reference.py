@@ -16,7 +16,7 @@ import math
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs.metrics import window_index
-from repro.obs.recorder import MemberLoad, Recorder
+from repro.obs.recorder import CacheCounters, MemberLoad, Recorder
 
 _CACHE_KEYS = ("hits", "misses", "bytes_loaded", "evictions",
                "bytes_evicted", "resident_bytes")
@@ -160,7 +160,7 @@ class ReferenceMetricsRecorder(Recorder):
     def batch(self, *, start: float, finish: float, job_class: str,
               tenant: str, batch_size: int, launch_s: float,
               members: Sequence[MemberLoad],
-              cache_stats: Sequence[Mapping[str, int]] = (),
+              cache_stats: Sequence[CacheCounters] = (),
               slo_met: int = 0, slo_total: int = 0,
               cost: float = 0.0, killed: bool = False) -> None:
         for board, load_s, miss_bytes in members:
@@ -175,8 +175,9 @@ class ReferenceMetricsRecorder(Recorder):
             self._add(self._slo_met, finish, float(slo_met))
             self._add(self._slo_total, finish, float(slo_total))
         if cache_stats:
-            for member, stats in zip(members, cache_stats):
-                self._cache_last[member[0]] = stats
+            for member, counters in zip(members, cache_stats):
+                self._cache_last[member[0]] = dict(zip(_CACHE_KEYS,
+                                                       counters))
             snap = {key: 0 for key in _CACHE_KEYS}
             for stats in self._cache_last.values():
                 for key in _CACHE_KEYS:

@@ -27,6 +27,7 @@ import tracemalloc
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -58,9 +59,8 @@ def hook_streams(draw):
               | st.integers(min_value=1, max_value=6).map(lambda k: k * w)
               | st.floats(min_value=w, max_value=8 * w))
     board = st.integers(min_value=0, max_value=devices + 1)
-    stats = st.fixed_dictionaries(
-        {key: st.integers(min_value=0, max_value=1 << 40)
-         for key in metrics._CACHE_KEYS})
+    stats = st.tuples(*[st.integers(min_value=0, max_value=1 << 40)]
+                      * len(metrics._CACHE_KEYS))
 
     def batch():
         return st.builds(
@@ -195,9 +195,68 @@ def test_window_indices_match_scalar(window_s, ts, ks):
     assert got.tolist() == [window_index(t, window_s) for t in ts]
 
 
+def _snapshot_batch(start, boards, counters, **kwargs):
+    """A one-window batch on ``boards`` whose caches report
+    ``counters`` (one tuple per board)."""
+    return ("batch", dict(
+        start=start, finish=start + 0.04, job_class="a", tenant="t0",
+        batch_size=1, launch_s=0.01,
+        members=[(board, 0.01, 64) for board in boards],
+        cache_stats=counters, **kwargs))
+
+
+@pytest.mark.parametrize("flush", [1, 2])
+def test_pool_cache_aggregate_across_flushes(flush):
+    """Per-board deltas carried across flushes: a three-board gang
+    snapshot, a board whose first snapshot lands after several
+    flushes, counters that fall (a wipe drops resident bytes), and a
+    batch without snapshots in between."""
+    events = [
+        ("run_begin", dict(scenario="s", num_devices=4, policy="edf")),
+        _snapshot_batch(0.0, [0, 1], [(1, 2, 3, 4, 5, 6),
+                                      (10, 20, 30, 40, 50, 60)]),
+        _snapshot_batch(0.05, [2, 0, 1], [(100, 200, 300, 400, 500, 600),
+                                          (2, 3, 4, 5, 6, 7),
+                                          (11, 21, 31, 41, 51, 0)]),
+        ("queue_sample", dict(t=0.1, total=3, depths={("a", "t0"): 3})),
+        _snapshot_batch(0.12, [1], ()),
+        _snapshot_batch(0.25, [3], [(7, 7, 7, 7, 7, 7000)]),
+        _snapshot_batch(0.31, [0, 3], [(9, 9, 9, 9, 9, 0),
+                                       (8, 8, 8, 8, 8, 8)], killed=True),
+        _snapshot_batch(0.33, [2], [(101, 201, 301, 401, 501, 601)]),
+        ("run_end", dict(makespan_s=0.4, device_busy_s=(0.0,) * 4)),
+    ]
+    with mock.patch.object(metrics, "FLUSH_EVENTS", flush):
+        _assert_same(0.1, events)
+        got = _play(MetricsRecorder(window_s=0.1), events).to_dict()
+    # Known answer: the last window holds the sum of each board's
+    # latest counters (boards 1, 0, 3 and 2 in that order).
+    windows = got["windows"]
+    assert windows["key_resident_bytes"][-1] == 0 + 0 + 8 + 601
+    assert windows["key_bytes_evicted"][-1] == 51 + 9 + 8 + 501
+    assert windows["key_hit_rate"][-1] == (11 + 9 + 8 + 101) / (
+        11 + 9 + 8 + 101 + 21 + 9 + 8 + 201)
+
+
 def _buffered(recorder) -> int:
     return max(len(recorder._pt_t), len(recorder._sp_t0),
-               len(recorder._hold_t), len(recorder._snap_t))
+               len(recorder._hold_t), len(recorder._snap_t),
+               len(recorder._snap_b))
+
+
+def test_snapshot_rows_count_toward_the_flush_bound():
+    """Zero-length three-board batches buffer no span and two points
+    each, but three snapshot member rows: those rows alone must
+    trigger the flush."""
+    recorder = MetricsRecorder(window_s=0.1)
+    recorder.run_begin(scenario="s", num_devices=3, policy="edf")
+    with mock.patch.object(metrics, "FLUSH_EVENTS", 8):
+        for i in range(20):
+            recorder.batch(start=i * 0.01, finish=i * 0.01, job_class="a",
+                           tenant="t0", batch_size=1, launch_s=0.0,
+                           members=[(b, 0.0, 0) for b in range(3)],
+                           cache_stats=[(i, 0, 0, 0, 0, b) for b in range(3)])
+            assert _buffered(recorder) < 8
 
 
 def _retained_bytes(batches: int, window_s: float,
@@ -207,7 +266,7 @@ def _retained_bytes(batches: int, window_s: float,
     after every hook."""
     gangs = [((board, 0.0, 64), ((board + 1) % 4, 0.0, 0))
              for board in range(4)]
-    stats = ({key: 0 for key in metrics._CACHE_KEYS},) * 2
+    stats = ((0,) * len(metrics._CACHE_KEYS),) * 2
     step = horizon_s / batches
     gc.collect()
     tracemalloc.start()

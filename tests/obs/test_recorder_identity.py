@@ -15,6 +15,7 @@ import pytest
 from repro.core.params import FabConfig
 from repro.obs import (NULL_RECORDER, CompositeRecorder, MetricsRecorder,
                        NullRecorder, Recorder, TimelineRecorder, compose)
+from repro.obs.metrics import _CACHE_KEYS
 from repro.runtime.policies import PriceSignal
 from repro.runtime.serving import (KeyCache, ServingSimulator,
                                    build_scenarios, build_slo_scenario)
@@ -76,6 +77,7 @@ def test_key_cache_stats_counters():
     cache = KeyCache(capacity_bytes=250)
     from repro.runtime.serving import JobClass
     a = JobClass("a", 1, ("k1", "k2"), 100)
+    b = JobClass("b", 1, ("k3",), 150)
     assert cache.hit_rate == 0.0        # never used: 0, not a crash
     assert cache.request("t", a) == 200
     assert cache.request("t", a) == 0   # both resident
@@ -89,6 +91,14 @@ def test_key_cache_stats_counters():
     assert stats["evictions"] == 2
     assert stats["bytes_evicted"] == 200
     assert stats["resident_bytes"] <= 250
+    # counters() is what recorders snapshot: the same six ints, in the
+    # MetricsRecorder's _CACHE_KEYS order (every value differs here, so
+    # a swapped pair would show).
+    cache.request("u", b)
+    assert _CACHE_KEYS == ("hits", "misses", "bytes_loaded", "evictions",
+                           "bytes_evicted", "resident_bytes")
+    assert cache.counters() == (2, 5, 550, 3, 300, 250)
+    assert cache.stats() == dict(zip(_CACHE_KEYS, cache.counters()))
 
 
 def test_null_recorder_is_disabled_and_inert():

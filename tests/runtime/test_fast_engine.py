@@ -304,6 +304,8 @@ class TestSetKeyCache:
             key_stats, set_stats = per_key.stats(), per_set.stats()
             for field in self.FIELDS:
                 assert key_stats[field] == set_stats[field], field
+            for cache, stats in ((per_key, key_stats), (per_set, set_stats)):
+                assert cache.counters() == tuple(stats.values())
             assert per_set.resident_bytes == per_key.resident_bytes
             assert per_set.hit_rate == per_key.hit_rate
             assert self._residency(per_set) == self._residency(per_key)
