@@ -7,14 +7,28 @@ the final scaling by N^{-1}.
 
 Like the datapath, which streams every RNS limb through its butterflies,
 one call transforms a whole ``(L, N)`` limb matrix: each of the log N
-stages is one vectorized butterfly pass over all limbs at once, against
-per-row twiddles and per-row moduli.  The rows need not be distinct
-primes, so key switching stacks the new limbs of every ModUp digit into
-one matrix over a repeated prime list; and a leading batch axis
-``(B, L, N)`` transforms several polynomials over the same primes (the
-two halves of a ciphertext) in the same pass.  A one-prime context is
-the L = 1 case of the same code and also accepts a plain length-N
-vector.
+stages is one vectorized pass over all limbs at once, against per-row
+twiddles and per-row moduli.  The rows need not be distinct primes, so
+key switching stacks the new limbs of every ModUp digit into one matrix
+over a repeated prime list; and a leading batch axis ``(B, L, N)``
+transforms several polynomials over the same primes (the two halves of
+a ciphertext) in the same pass.  A one-prime context is the L = 1 case
+of the same code and also accepts a plain length-N vector.
+
+The stages have constant geometry (Pease): every forward stage pairs the
+two contiguous halves of the row and writes its sums and differences to
+the even and odd positions of a second buffer, the two buffers taking
+turns; the inverse stage is the transpose, reading even and odd and
+writing the halves.  After log N stages the entries are back in the
+in-place Cooley–Tukey order, so inputs are in natural order and forward
+outputs in bit-reversed order, as before.  Stage ``s`` needs the
+twiddles ``table[:, m:2m]`` (m = 2^s) repeated with period m, a view of
+the per-prime tables rather than a table of its own.
+
+Reduction is lazy: a stage reduces its products modulo q and lets the
+sums grow.  A full reduction runs before a stage only when a worst-case
+bound, worked out once per context for its largest prime, says that a
+product could otherwise reach 2^63 (:func:`_reduction_schedule`).
 
 Primes are restricted to < 2**31 so that a product of two residues fits
 exactly in int64; the paper's 54-bit limbs are handled by the analytic
@@ -50,12 +64,25 @@ class NttContext:
         self.ring_degree = ring_degree
         self.moduli = tuple(np.atleast_1d(moduli).tolist())
         self.log_degree = ilog2(ring_degree)
-        forward, inverse, degree_inv = zip(
-            *(_prime_tables(ring_degree, q) for q in self.moduli))
+        tables = [_prime_tables(ring_degree, q) for q in self.moduli]
+        forward, inverse, degree_inv = zip(*tables)
         self._forward_table = np.stack(forward)
         self._inverse_table = np.stack(inverse)
         self._degree_inv = np.array(degree_inv, dtype=np.int64)[:, None]
         self._q = np.array(self.moduli, dtype=np.int64)[:, None]
+        # Stage s twiddles with table[:, m:2m], m = 2^s, repeated with
+        # period m along the half it multiplies: a (L, 1, m) view that
+        # broadcasts over that half seen as (..., L, N/2m, m).
+        reduce_fwd, reduce_inv = _reduction_schedule(self.log_degree, max(self.moduli))
+        self._forward_stages = tuple(
+            (self._forward_table[:, None, 1 << s : 2 << s], reduce)
+            for s, reduce in enumerate(reduce_fwd)
+        )
+        self._inverse_stages = tuple(
+            (self._inverse_table[:, None, 1 << s : 2 << s], reduce)
+            for s, reduce in zip(reversed(range(self.log_degree)), reduce_inv)
+        )
+        self._scale_reduce = reduce_inv[-1]
 
     @property
     def modulus(self) -> int:
@@ -81,10 +108,9 @@ class NttContext:
         of them; a one-prime context also takes a length-N vector."""
         a = np.asarray(x, dtype=np.int64)
         shape = (len(self.moduli), self.ring_degree)
-        if a.shape[-2:] != shape and not (a.shape == shape[1:]
-                                          and shape[0] == 1):
-            raise ValueError(f"expected shape (..., {shape[0]}, "
-                             f"{shape[1]}), got {a.shape}")
+        if a.shape[-2:] != shape and not (a.shape == shape[1:] and shape[0] == 1):
+            msg = f"expected shape (..., {shape[0]}, {shape[1]}), got {a.shape}"
+            raise ValueError(msg)
         return a.reshape((-1,) + shape) % self._q
 
     def forward(self, coeffs: np.ndarray) -> np.ndarray:
@@ -97,31 +123,47 @@ class NttContext:
         :meth:`repro.fhe.poly.RnsPolynomial.automorphism` relies on it.
         """
         a = self._reduced_stack(coeffs)
-        q = self._q[:, :, None]
-        for stage in range(self.log_degree):
-            # m blocks per row; block j of row i uses twiddle tw[i, m + j].
-            m = 1 << stage
-            pairs = a.reshape(a.shape[:2] + (m, 2, -1))
-            lo, hi = pairs[..., 0, :], pairs[..., 1, :]
-            prod = hi * self._forward_table[:, m:2 * m, None] % q
-            np.subtract(lo, prod, out=hi)
-            lo += prod
-            a %= self._q
+        out = np.empty_like(a)
+        shape = a.shape[:2]
+        half = self.ring_degree // 2
+        for twiddles, reduce in self._forward_stages:
+            if reduce:
+                a %= self._q
+            # The halves pair up; sums go to the even slots of the other
+            # buffer and differences to the odd ones.
+            lo = a[..., :half]
+            t = a[..., half:].reshape(shape + (-1, twiddles.shape[-1]))
+            t = (t * twiddles).reshape(shape + (half,))
+            t %= self._q
+            pairs = out.reshape(shape + (half, 2))
+            np.add(lo, t, out=pairs[..., 0])
+            np.subtract(lo, t, out=pairs[..., 1])
+            a, out = out, a
+        a %= self._q
         return a.reshape(np.shape(coeffs))
 
     def inverse(self, values: np.ndarray) -> np.ndarray:
         """Negacyclic inverse NTT (evaluation → coefficient order)."""
         a = self._reduced_stack(values)
+        out = np.empty_like(a)
+        shape = a.shape[:2]
+        half = self.ring_degree // 2
         q = self._q[:, :, None]
-        for stage in reversed(range(self.log_degree)):
-            h = 1 << stage
-            pairs = a.reshape(a.shape[:2] + (h, 2, -1))
-            lo, hi = pairs[..., 0, :], pairs[..., 1, :]
-            diff = (lo - hi) % q
-            lo += hi
-            lo %= q
-            np.multiply(diff, self._inverse_table[:, h:2 * h, None], out=hi)
+        for twiddles, reduce in self._inverse_stages:
+            if reduce:
+                a %= self._q
+            # The transpose: even and odd slots pair up; sums go to the
+            # first half, twiddled differences to the second.
+            pairs = a.reshape(shape + (half, 2))
+            even, odd = pairs[..., 0], pairs[..., 1]
+            np.add(even, odd, out=out[..., :half])
+            np.subtract(even, odd, out=out[..., half:])
+            hi = out.reshape(shape + (2, -1, twiddles.shape[-1]))[:, :, 1]
+            hi *= twiddles
             hi %= q
+            a, out = out, a
+        if self._scale_reduce:
+            a %= self._q
         a *= self._degree_inv
         a %= self._q
         return a.reshape(np.shape(values))
@@ -156,25 +198,50 @@ class NttContext:
 
     def pointwise_multiply(self, a_eval: np.ndarray, b_eval: np.ndarray) -> np.ndarray:
         """Pointwise product of two evaluation-representation vectors."""
-        return np.asarray(a_eval, dtype=np.int64) * np.asarray(b_eval, dtype=np.int64) % self.modulus
+        a = np.asarray(a_eval, dtype=np.int64)
+        return a * np.asarray(b_eval, dtype=np.int64) % self.modulus
 
 
 @lru_cache(maxsize=None)
-def _prime_tables(ring_degree: int,
-                  q: int) -> Tuple[np.ndarray, np.ndarray, int]:
+def _prime_tables(ring_degree: int, q: int) -> Tuple[np.ndarray, np.ndarray, int]:
     """One prime's forward and inverse twiddle rows and ``N^{-1} mod q``,
     computed once and shared by every context with a row modulo ``q``."""
-    if q.bit_length() > MAX_FUNCTIONAL_PRIME_BITS:
-        raise ValueError(
-            f"functional NTT supports primes < "
-            f"2^{MAX_FUNCTIONAL_PRIME_BITS}; "
-            f"got {q.bit_length()}-bit modulus")
+    bits = q.bit_length()
+    if bits > MAX_FUNCTIONAL_PRIME_BITS:
+        limit = f"functional NTT supports primes < 2^{MAX_FUNCTIONAL_PRIME_BITS}"
+        raise ValueError(f"{limit}; got {bits}-bit modulus")
     if (q - 1) % (2 * ring_degree) != 0:
         raise ValueError("modulus is not NTT-friendly for this degree")
     psi = primitive_root_of_unity(2 * ring_degree, q)
-    return (_twiddle_row(psi, q, ring_degree),
-            _twiddle_row(modinv(psi, q), q, ring_degree),
-            modinv(ring_degree, q))
+    forward = _twiddle_row(psi, q, ring_degree)
+    inverse = _twiddle_row(modinv(psi, q), q, ring_degree)
+    return forward, inverse, modinv(ring_degree, q)
+
+
+def _reduction_schedule(log_degree: int, q: int) -> Tuple[Tuple[bool, ...], ...]:
+    """Which stages start with a full ``a %= q``, so that no product of a
+    residue and a twiddle (each at most ``q - 1``) can reach 2^63.
+
+    Returns the forward flags, one per stage, and the inverse flags, one
+    per stage in the order they run plus one for the final ``N^{-1}``
+    scaling.  Computed in Python ints for the largest prime of a
+    context, which bounds every row.
+
+    ``bound`` is the largest magnitude an entry can have entering a
+    stage.  A forward stage adds and subtracts a reduced product, so it
+    widens the bound by ``q - 1``; an inverse stage's sums double it
+    (its products, reduced, stay below ``q``)."""
+    r = q - 1
+    forward, inverse = [], []
+    bound = r
+    for _ in range(log_degree):
+        forward.append(bound * r >= 1 << 63)
+        bound = (r if forward[-1] else bound) + r
+    bound = r
+    for _ in range(log_degree + 1):
+        inverse.append(bound * r >= 1 << 63)
+        bound = 2 * (r if inverse[-1] else bound)
+    return tuple(forward), tuple(inverse)
 
 
 def _twiddle_row(root: int, modulus: int, ring_degree: int) -> np.ndarray:
@@ -188,8 +255,8 @@ def _twiddle_row(root: int, modulus: int, ring_degree: int) -> np.ndarray:
     for _ in range(ring_degree - 1):
         raw.append(raw[-1] * root % modulus)
     log_degree = ilog2(ring_degree)
-    row = np.array([raw[bit_reverse(i, log_degree)]
-                    for i in range(ring_degree)], dtype=np.int32)
+    order = [bit_reverse(i, log_degree) for i in range(ring_degree)]
+    row = np.array([raw[i] for i in order], dtype=np.int32)
     row.flags.writeable = False
     return row
 
@@ -197,8 +264,7 @@ def _twiddle_row(root: int, modulus: int, ring_degree: int) -> np.ndarray:
 _CONTEXT_CACHE: Dict[Tuple[int, Tuple[int, ...]], NttContext] = {}
 
 
-def get_ntt_context(ring_degree: int,
-                    moduli: Union[int, Sequence[int]]) -> NttContext:
+def get_ntt_context(ring_degree: int, moduli: Union[int, Sequence[int]]) -> NttContext:
     """Return a cached :class:`NttContext` for ``ring_degree`` and one
     prime or a sequence of primes (one per limb-matrix row)."""
     key = (ring_degree, tuple(np.atleast_1d(moduli).tolist()))
