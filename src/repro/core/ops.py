@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from .hbm import HbmModel
 from .keyswitch_datapath import KeySwitchDatapath
@@ -68,6 +68,8 @@ class FabOpModel:
         self.ntt = NttDatapath(self.config)
         self.hbm = HbmModel(self.config)
         self.keyswitch_datapath = KeySwitchDatapath(self.config)
+        self._keyswitch_memo: Dict[Tuple[int, bool],
+                                   Tuple[int, int, int, int]] = {}
 
     # ------------------------------------------------------------------
     # Helpers
@@ -108,24 +110,32 @@ class FabOpModel:
 
     def keyswitch(self, level_limbs: Optional[int] = None) -> OpReport:
         """Hybrid key switch via the modified datapath."""
-        report = self.keyswitch_datapath.report(self._level(level_limbs))
-        cycles = self._overlap(report.cycles)
-        return OpReport("keyswitch", cycles,
-                        limb_ntts=report.counts.limb_ntts,
-                        modmults=report.counts.modmults,
-                        hbm_bytes=report.counts.hbm_total_bytes,
-                        breakdown={"keyswitch": cycles})
+        return self._keyswitch(level_limbs, hoisted=False)
 
     def keyswitch_hoisted(self, level_limbs: Optional[int] = None) -> OpReport:
         """Key switch sharing a hoisted ModUp (baby-step rotations)."""
-        report = self.keyswitch_datapath.hoisted_report(
-            self._level(level_limbs))
-        cycles = self._overlap(report.cycles)
-        return OpReport("keyswitch_hoisted", cycles,
-                        limb_ntts=report.counts.limb_ntts,
-                        modmults=report.counts.modmults,
-                        hbm_bytes=report.counts.hbm_total_bytes,
-                        breakdown={"keyswitch": cycles})
+        return self._keyswitch(level_limbs, hoisted=True)
+
+    def _keyswitch(self, level_limbs: Optional[int],
+                   hoisted: bool) -> OpReport:
+        """Price a key switch by scheduling its datapath task graph, once
+        per level and variant per model; the config is frozen, so the
+        figures depend only on those.  A fresh report is built on every
+        call because its breakdown dict is mutable."""
+        level = self._level(level_limbs)
+        figures = self._keyswitch_memo.get((level, hoisted))
+        if figures is None:
+            datapath = self.keyswitch_datapath
+            report = (datapath.hoisted_report(level) if hoisted
+                      else datapath.report(level))
+            figures = (self._overlap(report.cycles), report.counts.limb_ntts,
+                       report.counts.modmults,
+                       report.counts.hbm_total_bytes)
+            self._keyswitch_memo[(level, hoisted)] = figures
+        cycles, limb_ntts, modmults, hbm_bytes = figures
+        return OpReport("keyswitch_hoisted" if hoisted else "keyswitch",
+                        cycles, limb_ntts=limb_ntts, modmults=modmults,
+                        hbm_bytes=hbm_bytes, breakdown={"keyswitch": cycles})
 
     def multiply(self, level_limbs: Optional[int] = None) -> OpReport:
         """Ciphertext multiply: tensor product + relinearization."""
