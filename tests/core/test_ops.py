@@ -4,6 +4,8 @@ and bootstrap behaviour."""
 import pytest
 
 from repro.core import FabConfig, FabOpModel
+from repro.core.ops import OpReport
+from repro.core.scheduler import TaskGraph
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +64,52 @@ class TestBasicOps:
         report = model.multiply()
         assert set(report.breakdown) == {"tensor", "keyswitch", "fixup"}
         assert report.breakdown["keyswitch"] > report.breakdown["tensor"]
+
+
+class TestKeySwitchMemo:
+    """A model prices each (level, hoisted) key switch once: the task
+    graph is built and scheduled on the first call only."""
+
+    LEVELS = (None, 24, 8, 24, 8, None, 3)
+
+    def test_graph_scheduled_once_per_level_and_variant(self, monkeypatch):
+        scheduled = []
+        schedule = TaskGraph.schedule
+
+        def counting(graph, *args, **kwargs):
+            scheduled.append(graph)
+            return schedule(graph, *args, **kwargs)
+
+        monkeypatch.setattr(TaskGraph, "schedule", counting)
+        model = FabOpModel(FabConfig())
+        for level in self.LEVELS:
+            for op in ("keyswitch", "keyswitch_hoisted", "multiply",
+                       "rotate", "rotate_hoisted", "conjugate"):
+                getattr(model, op)(level)
+        distinct = {model._level(level) for level in self.LEVELS}
+        assert len(scheduled) == 2 * len(distinct)
+
+    @pytest.mark.parametrize("hoisted", [False, True])
+    def test_memoized_reports_equal_unmemoized(self, hoisted):
+        model = FabOpModel(FabConfig())
+        method = "keyswitch_hoisted" if hoisted else "keyswitch"
+        datapath = model.keyswitch_datapath
+        for level in self.LEVELS:
+            limbs = model._level(level)
+            raw = (datapath.hoisted_report(limbs) if hoisted
+                   else datapath.report(limbs))
+            cycles = model._overlap(raw.cycles)
+            unmemoized = OpReport(method, cycles,
+                                  limb_ntts=raw.counts.limb_ntts,
+                                  modmults=raw.counts.modmults,
+                                  hbm_bytes=raw.counts.hbm_total_bytes,
+                                  breakdown={"keyswitch": cycles})
+            first = getattr(model, method)(level)
+            first.breakdown["keyswitch"] += 1  # a caller's edit stays its own
+            again = getattr(model, method)(level)
+            assert again == unmemoized
+            assert again is not first
+            assert again.breakdown is not first.breakdown
 
 
 class TestBootstrap:
