@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from ..core.params import FabConfig
 from ..perf.devices import build_baseline_devices
-from ..perf.fab import Fab2Device, FabDevice
+from ..perf.fab import Fab2Device
 from ..perf.metrics import cycles_speedup
 from .common import ExperimentResult, ExperimentRow, print_result
 
@@ -27,8 +27,8 @@ PAPER_TABLE8 = {
 def run() -> ExperimentResult:
     """Reproduce the LR-training comparison."""
     config = FabConfig()
-    fab1 = FabDevice(config)
     fab2 = Fab2Device(config)
+    fab1 = fab2.single
     fab2_s = fab2.lr_iteration_seconds()
     devices = build_baseline_devices()
     rows = []

@@ -11,7 +11,8 @@ is an analytic model:
 * the model's sustained modular-multiply throughput is **calibrated
   once** against the device's published amortized bootstrapping time
   (Table 7), absorbing the cache/memory inefficiencies each original
-  paper documents;
+  paper documents; the Eq.-2 workload it calibrates on is counted once
+  per device and also prices the model's own Table 7 value;
 * every other prediction (basic ops, LR training) is then *derived* by
   pushing the same :class:`~repro.perf.opcounts.OpCounter` workloads
   through the calibrated throughput, bounded below by the memory-traffic
@@ -25,10 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from functools import cached_property
+from typing import Dict, List, Optional, Tuple
 
 from .metrics import amortized_mult_per_slot
-from .opcounts import OpCounter, PrimitiveCounts
+from .opcounts import BootstrapProfile, OpCounter, PrimitiveCounts
 
 
 @dataclass(frozen=True)
@@ -70,15 +72,17 @@ class AnalyticDevice:
     # Calibration
     # ------------------------------------------------------------------
 
-    def _amortized_workload(self):
-        """The Eq.-2 workload: one bootstrap + one multiply per level."""
+    @cached_property
+    def _amortized_workload(self) -> Tuple[BootstrapProfile,
+                                           List[PrimitiveCounts],
+                                           PrimitiveCounts]:
+        """The Eq.-2 workload, counted once per device: one bootstrap,
+        the multiply + rescale at each level it leaves, and the total."""
         profile = self.counter.bootstrap(fft_iter=self.spec.fft_iter,
                                          slots=self.spec.boot_slots)
-        counts = profile.counts
-        for level in range(profile.levels_after + 1, 1, -1):
-            counts = counts + self.counter.multiply(level)
-            counts = counts + self.counter.rescale(level)
-        return profile, counts
+        mults = [self.counter.multiply(level) + self.counter.rescale(level)
+                 for level in range(profile.levels_after + 1, 1, -1)]
+        return profile, mults, sum(mults, profile.counts)
 
     def _calibrate(self) -> float:
         """Back out sustained throughput from the published Table 7 row."""
@@ -86,7 +90,7 @@ class AnalyticDevice:
         if anchor_us is None:
             raise ValueError(
                 f"{self.spec.name}: no amortized anchor to calibrate from")
-        profile, counts = self._amortized_workload()
+        profile, _, counts = self._amortized_workload
         levels = max(profile.levels_after, 1)
         target_seconds = anchor_us * 1e-6 * levels * self.spec.boot_slots
         return counts.mult_equivalents / max(target_seconds, 1e-12)
@@ -110,13 +114,9 @@ class AnalyticDevice:
 
     def amortized_mult_us(self) -> float:
         """Model-derived Table 7 value (microseconds per slot)."""
-        profile, counts = self._amortized_workload()
+        profile, mults, _ = self._amortized_workload
         boot_seconds = self.seconds(profile.counts)
-        mult_seconds = [
-            self.seconds(self.counter.multiply(level)
-                         + self.counter.rescale(level))
-            for level in range(profile.levels_after + 1, 1, -1)
-        ]
+        mult_seconds = [self.seconds(mult) for mult in mults]
         return amortized_mult_per_slot(
             boot_seconds, mult_seconds, self.spec.boot_slots) * 1e6
 

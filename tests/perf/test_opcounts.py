@@ -348,12 +348,38 @@ class TestBasicCounts:
         other = OpCounter(ring_degree=1 << 16, num_limbs=24, dnum=4)
         assert other.keyswitch(10) != counter.keyswitch(10)
 
+    def test_per_op_memo(self):
+        counter = OpCounter(ring_degree=1 << 16, num_limbs=24, dnum=3)
+        for lvl in (1, 10, 24):
+            for hoisted in (False, True):
+                rotate = counter.rotate(lvl, hoisted=hoisted)
+                assert counter.rotate(lvl, hoisted=hoisted) is rotate
+            assert counter.multiply(lvl) is counter.multiply(lvl)
+            assert counter.rescale(lvl) is counter.rescale(lvl)
+        assert counter.rotate(10) != counter.rotate(10, hoisted=True)
+        assert counter.rotate() is counter.rotate(24)
+        assert counter.multiply() is counter.multiply(24)
+        assert counter.rescale() is counter.rescale(24)
+
     def test_shared_counts_are_frozen(self, counter):
         with pytest.raises(dataclasses.FrozenInstanceError):
             counter.keyswitch(3).modmults = 0
 
 
 class TestBootstrapProfile:
+    def test_memo_per_counter(self):
+        counter = OpCounter(ring_degree=1 << 16, num_limbs=24, dnum=3)
+        profile = counter.bootstrap(fft_iter=3, slots=256)
+        assert counter.bootstrap(fft_iter=3, slots=256) is profile
+        assert counter.bootstrap() is counter.bootstrap(slots=1 << 15)
+        assert counter.bootstrap(fft_iter=3, slots=256, eval_mod_ct_mults=21) != profile
+        fresh = OpCounter(ring_degree=1 << 16, num_limbs=24, dnum=3)
+        assert fresh.bootstrap(fft_iter=3, slots=256) == profile
+
+    def test_shared_profile_is_frozen(self, counter):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            counter.bootstrap().rotations = 0
+
     def test_levels_after(self, counter):
         profile = counter.bootstrap(fft_iter=4)
         assert profile.levels_after == 23 - 17
@@ -391,3 +417,31 @@ class TestLrIteration:
     def test_has_sigmoid_keyswitches(self, counter):
         c = counter.lr_iteration(num_ciphertexts=8)
         assert c.hbm_key_bytes > 0  # rotations + ct multiplies fetch keys
+
+
+class TestTablePricingCounts:
+    """Known-answer work counts of one Table 7 + Table 8 run."""
+
+    def test_additions_and_schedules(self, monkeypatch):
+        from repro.core.scheduler import TaskGraph
+        from repro.experiments import table7_bootstrap, table8_lr
+
+        calls = {"add": 0, "schedule": 0}
+        add = PrimitiveCounts.__add__
+        schedule = TaskGraph.schedule
+
+        def counted_add(self, other):
+            calls["add"] += 1
+            return add(self, other)
+
+        def counted_schedule(self, *args, **kwargs):
+            calls["schedule"] += 1
+            return schedule(self, *args, **kwargs)
+
+        monkeypatch.setattr(PrimitiveCounts, "__add__", counted_add)
+        monkeypatch.setattr(TaskGraph, "schedule", counted_schedule)
+        table7_bootstrap.run()
+        table8_lr.run()
+        # Per-rotation additions in the bootstrap walk read 11,283, and
+        # a second cold FAB model in Table 8 reads 69 schedules.
+        assert calls == {"add": 1586, "schedule": 50}
