@@ -5,6 +5,8 @@ import math
 
 import pytest
 
+from repro.core.scheduler import TaskGraph
+from repro.experiments import table7_bootstrap, table8_lr
 from repro.perf import (
     AnalyticDevice,
     BootstrapProfile,
@@ -423,9 +425,6 @@ class TestTablePricingCounts:
     """Known-answer work counts of one Table 7 + Table 8 run."""
 
     def test_additions_and_schedules(self, monkeypatch):
-        from repro.core.scheduler import TaskGraph
-        from repro.experiments import table7_bootstrap, table8_lr
-
         calls = {"add": 0, "schedule": 0}
         add = PrimitiveCounts.__add__
         schedule = TaskGraph.schedule
@@ -442,6 +441,6 @@ class TestTablePricingCounts:
         monkeypatch.setattr(TaskGraph, "schedule", counted_schedule)
         table7_bootstrap.run()
         table8_lr.run()
-        # Per-rotation additions in the bootstrap walk read 11,283, and
-        # a second cold FAB model in Table 8 reads 69 schedules.
+        # Adding per rotation in the bootstrap walk reads 11,283
+        # additions; a second cold FAB model in Table 8, 69 schedules.
         assert calls == {"add": 1586, "schedule": 50}
