@@ -14,21 +14,21 @@ Each :class:`OpCounter` computes every distinct quantity once.  The key
 switch is counted in closed form (its six totals summed as integers
 over the digits, one :class:`PrimitiveCounts` built at the end), and
 ``keyswitch``, ``rotate``, ``multiply`` and ``rescale`` are memoized
-per ``(kind, level, hoisted)``, ``bootstrap`` per its four arguments,
-all in one memo on the counter.  A bootstrap prices its repeated
-identical terms (the hoisted baby-step rotations, the giant steps, the
-multiply+rescale pairs of an EvalMod step) as one ``scaled`` term.
-Every count is a Python int, so the regrouped sums equal the
-term-by-term walks exactly.  Memoized values are shared between
-callers, which is safe because :class:`PrimitiveCounts` and
-:class:`BootstrapProfile` are frozen.
+per ``(kind, level, hoisted)`` in one memo on the counter.  A bootstrap
+is not memoized (a table run asks each counter for it about once); it
+prices its repeated identical terms (the hoisted baby-step rotations,
+the giant steps, the multiply+rescale pairs of an EvalMod step) as one
+``scaled`` term.  Every count is a Python int, so the regrouped sums
+equal the term-by-term walks exactly.  Memoized values are shared
+between callers, which is safe because :class:`PrimitiveCounts` is
+frozen.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Hashable, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -74,10 +74,9 @@ class PrimitiveCounts:
         return self.hbm_key_bytes + self.hbm_ct_bytes
 
 
-@dataclass(frozen=True)
+@dataclass
 class BootstrapProfile:
-    """Counts plus pipeline metadata for one bootstrap (frozen:
-    :meth:`OpCounter.bootstrap` hands out shared memoized values)."""
+    """Counts plus pipeline metadata for one bootstrap."""
 
     counts: PrimitiveCounts
     rotations: int
@@ -109,7 +108,7 @@ class OpCounter:
         self.num_extension_limbs = num_extension_limbs
         self.eval_mod_depth = eval_mod_depth
         self.log_degree = ring_degree.bit_length() - 1
-        self._memo: Dict[Hashable, Any] = {}
+        self._memo: Dict[Tuple[str, int, bool], PrimitiveCounts] = {}
 
     # ------------------------------------------------------------------
     # Helpers
@@ -122,7 +121,12 @@ class OpCounter:
     def _level(self, level: Optional[int]) -> int:
         return level if level is not None else self.num_limbs
 
-    def _memoized(self, key: Hashable, count: Callable[..., Any], *args: Any) -> Any:
+    def _memoized(
+        self,
+        key: Tuple[str, int, bool],
+        count: Callable[..., PrimitiveCounts],
+        *args: int,
+    ) -> PrimitiveCounts:
         """``count(*args)``, computed on the first call for ``key``."""
         value = self._memo.get(key)
         if value is None:
@@ -227,18 +231,8 @@ class OpCounter:
         and a single EvalMod branch (the standard sparse optimization);
         fully-packed ones run two EvalMod branches.
         """
-        slots = slots if slots is not None else self.ring_degree // 2
-        args = (fft_iter, slots, eval_mod_ct_mults, eval_mod_const_mults)
-        return self._memoized(("bootstrap", *args), self._count_bootstrap, *args)
-
-    def _count_bootstrap(
-        self,
-        fft_iter: int,
-        slots: int,
-        eval_mod_ct_mults: int,
-        eval_mod_const_mults: int,
-    ) -> BootstrapProfile:
         n = self.ring_degree
+        slots = slots if slots is not None else n // 2
         log_slots = max(int(math.log2(slots)), 1)
         fully_packed = slots == n // 2
         level = self.num_limbs

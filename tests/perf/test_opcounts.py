@@ -369,19 +369,6 @@ class TestBasicCounts:
 
 
 class TestBootstrapProfile:
-    def test_memo_per_counter(self):
-        counter = OpCounter(ring_degree=1 << 16, num_limbs=24, dnum=3)
-        profile = counter.bootstrap(fft_iter=3, slots=256)
-        assert counter.bootstrap(fft_iter=3, slots=256) is profile
-        assert counter.bootstrap() is counter.bootstrap(slots=1 << 15)
-        assert counter.bootstrap(fft_iter=3, slots=256, eval_mod_ct_mults=21) != profile
-        fresh = OpCounter(ring_degree=1 << 16, num_limbs=24, dnum=3)
-        assert fresh.bootstrap(fft_iter=3, slots=256) == profile
-
-    def test_shared_profile_is_frozen(self, counter):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            counter.bootstrap().rotations = 0
-
     def test_levels_after(self, counter):
         profile = counter.bootstrap(fft_iter=4)
         assert profile.levels_after == 23 - 17
@@ -443,4 +430,4 @@ class TestTablePricingCounts:
         table8_lr.run()
         # Adding per rotation in the bootstrap walk reads 11,283
         # additions; a second cold FAB model in Table 8, 69 schedules.
-        assert calls == {"add": 1586, "schedule": 50}
+        assert calls == {"add": 1616, "schedule": 50}
